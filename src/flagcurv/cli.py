@@ -19,13 +19,7 @@ import numpy as np
 
 from . import berwald as berwald_mod
 from .algebra import check_reductive, jacobi_defect
-from .config import (
-    CONVENTION_CHOICES,
-    METHOD_CHOICES,
-    ProblemConfig,
-    build_problem,
-    parse_config,
-)
+from .config import ProblemConfig, build_problem, parse_config
 from .errors import (
     FlagcurvError,
     InputError,
@@ -34,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .finsler import validate_finsler
-from .flagcurvature import flag_curvature, scan_flags
+from .flagcurvature import CONVENTIONS, METHODS, flag_curvature, scan_flags
 from .metrics import (
     check_ad_h_invariance,
     check_bi_invariance,
@@ -364,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON problem config")
         p.add_argument("--output", choices=("table", "json"), default="table")
-        p.add_argument("--convention", choices=CONVENTION_CHOICES, default=None)
-        p.add_argument("--method", choices=METHOD_CHOICES, default=None)
+        p.add_argument("--convention", choices=CONVENTIONS, default=None)
+        p.add_argument("--method", choices=METHODS, default=None)
         p.add_argument("--fd-step", type=float, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)

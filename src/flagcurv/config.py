@@ -18,10 +18,8 @@ import numpy as np
 from .algebra import LieAlgebraSpec, ReductivePair
 from .errors import InputError
 from .finsler import FinslerData
+from .flagcurvature import CONVENTIONS, METHODS
 from .geometry import HomogeneousGeometry, make_geometry
-
-CONVENTION_CHOICES = ("oracle-aligned", "paper-verbatim")
-METHOD_CHOICES = ("general", "naturally-reductive", "bi-invariant")
 
 
 @dataclass(frozen=True)
@@ -167,10 +165,10 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     for key in raw_opts:
         _require(key in opt_known, f"unknown option {key!r}")
     convention = raw_opts.get("sign_convention", "oracle-aligned")
-    _require(convention in CONVENTION_CHOICES,
-             f"sign_convention must be one of {CONVENTION_CHOICES}")
+    _require(convention in CONVENTIONS,
+             f"sign_convention must be one of {CONVENTIONS}")
     method = raw_opts.get("method", "general")
-    _require(method in METHOD_CHOICES, f"method must be one of {METHOD_CHOICES}")
+    _require(method in METHODS, f"method must be one of {METHODS}")
     fd_step = raw_opts.get("fd_step", 1e-5)
     _require(isinstance(fd_step, (int, float)) and fd_step > 0,
              "fd_step must be a positive number")

@@ -31,7 +31,6 @@ from .metrics import (
     orthonormalize_flag,
 )
 from .riemann import (
-    TOL_ORACLE,
     curvature_oracle,
     koszul_connection,
     nat_reductive_R,

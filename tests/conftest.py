@@ -12,11 +12,43 @@ def su2_tensor():
     return c
 
 
-def heisenberg_tensor():
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 2] = 1.0
-    c[1, 0, 2] = -1.0
+def heisenberg_tensor(k=1):
+    """h_{2k+1}: [x_i, y_i] = z in the basis (x_1..x_k, y_1..y_k, z)."""
+    n = 2 * k + 1
+    c = np.zeros((n, n, n))
+    for i in range(k):
+        c[i, k + i, n - 1] = 1.0
+        c[k + i, i, n - 1] = -1.0
     return c
+
+
+def so_tensor(n):
+    """so(n) in the basis E_ab = e_a e_b^T - e_b e_a^T, a < b in row order."""
+    a, b = np.triu_indices(n, 1)
+    E = np.zeros((len(a), n, n))
+    E[np.arange(len(a)), a, b] = 1.0
+    E[np.arange(len(a)), b, a] = -1.0
+    comm = np.einsum("iab,jbc->ijac", E, E) - np.einsum("jab,ibc->ijac", E, E)
+    return comm[:, :, a, b]  # a commutator's E_ab coordinate is its (a, b) entry
+
+
+def sphere_tensor(n):
+    """so(n+1) + R adapted to S^n x R = (SO(n+1) x R)/SO(n): so(n) first."""
+    _, b = np.triu_indices(n + 1, 1)
+    order = np.argsort(b == n, kind="stable")
+    c = so_tensor(n + 1)[np.ix_(order, order, order)]
+    return direct_sum(c, np.zeros((1, 1, 1)))
+
+
+def direct_sum(*tensors):
+    n = sum(t.shape[0] for t in tensors)
+    out = np.zeros((n, n, n))
+    o = 0
+    for t in tensors:
+        d = t.shape[0]
+        out[o:o + d, o:o + d, o:o + d] = t
+        o += d
+    return out
 
 
 def change_basis(c, T):

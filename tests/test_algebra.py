@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagcurv import (
     InputError,
@@ -11,7 +14,14 @@ from flagcurv import (
     jacobi_defect,
     project,
 )
-from conftest import change_basis, su2_tensor
+from conftest import (
+    change_basis,
+    direct_sum,
+    heisenberg_tensor,
+    so_tensor,
+    sphere_tensor,
+    su2_tensor,
+)
 
 E3 = np.eye(3)
 
@@ -86,6 +96,81 @@ def test_jacobi_invariant_under_basis_permutation(su2):
     assert jacobi_defect(LieAlgebraSpec(3, c)) == pytest.approx(
         jacobi_defect(su2), abs=1e-14
     )
+
+
+def jacobi_defect_reference(L):
+    """The cyclic sum as three dense n^4 contractions."""
+    c = L.c
+    J = (
+        np.einsum("jka,iam->ijkm", c, c)
+        + np.einsum("kia,jam->ijkm", c, c)
+        + np.einsum("ija,kam->ijkm", c, c)
+    )
+    return float(np.max(np.abs(J))) if J.size else 0.0
+
+
+MAX_SUM_DIM = 30
+SUMMANDS = (
+    [np.zeros((1, 1, 1)), su2_tensor()]
+    + [so_tensor(n) for n in range(3, 9)]
+    + [heisenberg_tensor(k) for k in (1, 2, 3)]
+    + [sphere_tensor(n) for n in range(2, 8)]
+)
+
+
+@st.composite
+def structure_tensors(draw):
+    """(c, integral): a direct sum of known algebras, possibly disturbed."""
+    blocks, dim = [], 0
+    while not blocks or draw(st.booleans()):
+        fits = [t for t in SUMMANDS if dim + len(t) <= MAX_SUM_DIM]
+        if not fits:
+            break
+        blocks.append(draw(st.sampled_from(fits)))
+        dim += len(blocks[-1])
+    c = direct_sum(*blocks)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    change = draw(st.sampled_from(["none", "integer", "rotate", "perturb"]))
+    if change == "integer":
+        p = rng.integers(-2, 3, size=c.shape) * (rng.random(c.shape) < 0.05)
+        c = c + p - p.swapaxes(0, 1)
+    elif change == "rotate":
+        Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        c = change_basis(c, Q)
+    elif change == "perturb":
+        c = c + draw(st.floats(1e-6, 1.0)) * rng.normal(size=c.shape)
+    if change in ("rotate", "perturb"):
+        c = 0.5 * (c - c.swapaxes(0, 1))
+    return c, change in ("none", "integer")
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure_tensors())
+def test_jacobi_matches_reference(case):
+    c, integral = case
+    L = LieAlgebraSpec(len(c), c)
+    got, want = jacobi_defect(L), jacobi_defect_reference(L)
+    if integral:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * max(1.0, float(np.max(np.abs(c))) ** 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_jacobi_zero_tensor(dim):
+    assert jacobi_defect(LieAlgebraSpec(dim, np.zeros((dim, dim, dim)))) == 0.0
+
+
+def test_jacobi_memory_stays_below_one_n4_array():
+    L = LieAlgebraSpec(28, so_tensor(8))  # one dense n^4 array is 4.9 MB
+    jacobi_defect(L)
+    tracemalloc.start()
+    try:
+        jacobi_defect(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_derived_subalgebra_su2_full(su2):

@@ -9,6 +9,7 @@ from flagcurv.config import config_from_dict, parse_config
 from flagcurv.errors import InputError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -191,6 +192,25 @@ class TestBerwaldCommand:
                            "--output", "json")
         assert code == 0
         assert json.loads(out)["status"] == "not checked"
+
+
+class TestGoldenOutput:
+    """stdout and exit code match bytes recorded from an earlier release."""
+
+    @pytest.mark.parametrize("name, code", [
+        ("abelian_r3", 0), ("heisenberg", 2), ("su2", 0),
+        ("su2_plus_r", 0), ("su2_u1", 0),
+    ])
+    def test_validate(self, capsys, name, code):
+        got = run(capsys, "validate", str(CONFIGS / f"{name}.json"),
+                  "--output", "json")
+        assert got[:2] == (code, (GOLDEN / f"validate_{name}.json").read_text())
+
+    @pytest.mark.parametrize("name", ["su2_plus_r", "heisenberg"])
+    def test_forced_curvature(self, capsys, name):
+        got = run(capsys, "curvature", str(CONFIGS / f"{name}.json"),
+                  "--output", "json", "--force")
+        assert got[:2] == (0, (GOLDEN / f"curvature_{name}.json").read_text())
 
 
 def test_usage_error_exits_1(capsys):
