@@ -28,7 +28,6 @@ class LieAlgebraSpec:
 
     dim: int
     c: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -47,13 +46,12 @@ class LieAlgebraSpec:
             )
         anti.setflags(write=False)
         object.__setattr__(self, "c", anti)
-        if self.labels is not None and len(self.labels) != self.dim:
-            raise InputError("number of labels does not match dim")
 
-    def basis_vector(self, i: int) -> np.ndarray:
-        e = np.zeros(self.dim)
-        e[i] = 1.0
-        return e
+    def ad(self, x: np.ndarray) -> np.ndarray:
+        """ad_x acting on row vectors, v @ ad(x) = [x, v], as one product with
+        c viewed as an (n, n*n) matrix.  A stack of x gives a stack of ad_x."""
+        n = self.dim
+        return (x @ self.c.reshape(n, n * n)).reshape(*np.shape(x)[:-1], n, n)
 
 
 @dataclass(frozen=True)

@@ -360,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=("table", "json"), default="table")
         p.add_argument("--convention", choices=CONVENTIONS, default=None)
         p.add_argument("--method", choices=METHODS, default=None)
-        p.add_argument("--fd-step", type=float, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--force", action="store_true",

@@ -19,22 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, bracket, project
+from .algebra import LieAlgebraSpec
 from .errors import FlagError, InputError, PreconditionError
 from .finsler import FinslerData, g_Y_closed, g_Y_fd, validate_finsler
 from .geometry import HomogeneousGeometry
-from .metrics import (
-    Flag,
-    InnerProduct,
-    check_bi_invariance,
-    check_naturally_reductive,
-    orthonormalize_flag,
-)
-from .riemann import (
-    curvature_oracle,
-    koszul_connection,
-    nat_reductive_R,
-)
+from .metrics import Flag, InnerProduct, check_bi_invariance, orthonormalize_flag
+from .riemann import _nat_reductive_RUYY, curvature_oracle
 
 CONVENTIONS = ("oracle-aligned", "paper-verbatim")
 METHODS = ("general", "naturally-reductive", "bi-invariant")
@@ -88,8 +78,110 @@ def _check_convention(convention: str) -> None:
         raise InputError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
 
 
-def _embed(geom: HomogeneousGeometry, x_m: np.ndarray) -> np.ndarray:
-    return geom.pair.embed_m(np.asarray(x_m, dtype=float))
+def _sign(convention: str) -> float:
+    return 1.0 if convention == "paper-verbatim" else ORACLE_SIGN
+
+
+class _Kernel:
+    """The contractions <X,R(U,Y)Y> and <R(U,Y)Y,U> of one geometry, drift,
+    method and convention, for any number of flags.
+
+    Everything that does not depend on the flag, including the method's
+    preconditions, is settled at construction.  A flag then costs ad_Y (and
+    ad_U) plus about a dozen small matrix-vector products.
+    """
+
+    def __init__(
+        self, geom: HomogeneousGeometry, X: np.ndarray, method: str, convention: str
+    ):
+        h = geom.pair.h_dim
+        if method == "bi-invariant":
+            if h != 0:
+                raise PreconditionError("bi-invariant method needs trivial isotropy")
+            rep = geom.bi_invariance
+            if not rep.ok:
+                raise PreconditionError(
+                    f"metric is not bi-invariant (defect {rep.max_defect:g})"
+                )
+        elif method == "naturally-reductive":
+            rep = geom.naturally_reductive
+            if not rep.ok:
+                raise PreconditionError(
+                    f"metric is not naturally reductive (defect {rep.max_defect:g})"
+                )
+        self.geom, self.method, self.sign = geom, method, _sign(convention)
+        self.Xg = X @ geom.inner.g
+        if method == "general":
+            self.closed = _ClosedForms(geom, X)
+            # The naturally reductive oracle can raise on a stray
+            # h-component, so it runs wherever it applies.
+            self.oracle = h > 0 and geom.naturally_reductive.ok
+
+    def __call__(
+        self, Y: np.ndarray, U: np.ndarray
+    ) -> tuple[float, float, np.ndarray | None]:
+        """(XRYY, URYY, R(U,Y)Y or None) for a g-orthonormal flag."""
+        geom = self.geom
+        h = geom.pair.h_dim
+        YU = np.zeros((2, geom.algebra.dim))
+        YU[:, h:] = Y, U
+        if self.method != "general":
+            r = _nat_reductive_RUYY(geom.algebra.ad(YU[0]), YU[1], h)
+            return float(self.Xg @ r), float(U @ geom.inner.g @ r), r
+        ad_YU = geom.algebra.ad(YU)
+        r = _nat_reductive_RUYY(ad_YU[0], YU[1], h) if self.oracle else None
+        XRYY, URYY = self.closed(YU, ad_YU)
+        return self.sign * XRYY, self.sign * URYY, r
+
+    def K(self, Y: np.ndarray, U: np.ndarray) -> float:
+        XRYY, URYY, _ = self(Y, U)
+        return _assemble(float(self.Xg @ Y), float(self.Xg @ U), XRYY, URYY)[2]
+
+
+class _ClosedForms:
+    """Paper-verbatim closed forms (<X,R(U,Y)Y>, <R(U,Y)Y,U>) for one drift X.
+
+    Term 2 pairs m-projections with the derived metric <.,.>; the other
+    terms use <.,.>_0 on the full algebra, as printed.  Brackets are row
+    vectors, [a, b] = b @ ad(a).
+    """
+
+    def __init__(self, geom: HomogeneousGeometry, X: np.ndarray):
+        self.geom = geom
+        self.phi_T = geom.phi.phi_full.T
+        Xf = geom.pair.embed_m(X)
+        ad_X = geom.algebra.ad(Xf)
+        # v @ drift_ops = ([v, X], [v, phi X], [X, phi v])
+        self.drift_ops = np.hstack(
+            (-ad_X, -geom.algebra.ad(geom.phi.phi_full @ Xf), self.phi_T @ ad_X)
+        )
+
+    def __call__(self, YU: np.ndarray, ad_YU: np.ndarray) -> tuple[float, float]:
+        """YU holds Y and U in full coordinates, ad_YU their ad matrices."""
+        geom = self.geom
+        h, g0, g0_phi_inv = geom.pair.h_dim, geom.g0.g0, geom.g0_phi_inv
+        (y_X, y_pX, x_pY), (_, u_pX, x_pU) = (YU @ self.drift_ops).reshape(2, 3, -1)
+        (y_pY, y_pU), (u_pY, u_pU) = (YU @ self.phi_T) @ ad_YU
+        y_U = YU[1] @ ad_YU[0]
+        s = u_pY - y_pU  # [phi U, Y] + [U, phi Y]
+        t = u_pY + y_pU  # [U, phi Y] + [Y, phi U]
+        s_g0, yU_g0, t_w = s @ g0, y_U @ g0, t @ g0_phi_inv
+        yU_m_g = y_U[h:] @ geom.inner.g
+        w = g0_phi_inv @ y_pY  # g0 phi^-1 [Y, phi Y]
+
+        xryy = (
+            0.25 * (s_g0 @ y_X + yU_g0 @ (x_pY - y_pX))
+            + 0.75 * (yU_m_g @ y_X[h:])
+            + 0.5 * ((u_pX + x_pU) @ w)
+            - 0.25 * (t_w @ (y_pX + x_pY))
+        )
+        uryy = (
+            0.5 * (s_g0 @ y_U)
+            + 0.75 * (yU_m_g @ y_U[h:])
+            + u_pU @ w
+            - 0.25 * (t_w @ t)
+        )
+        return float(xryy), float(uryy)
 
 
 def puttmann_XRYY(
@@ -99,33 +191,10 @@ def puttmann_XRYY(
     U: np.ndarray,
     convention: str = "oracle-aligned",
 ) -> float:
-    """Closed-form <X, R(U,Y)Y>; all vectors in m-coordinates.
-
-    Term 2 pairs m-projections with the derived metric <.,.>; the other
-    terms use <.,.>_0 on the full algebra, as printed.
-    """
+    """Closed-form <X, R(U,Y)Y>; all vectors in m-coordinates."""
     _check_convention(convention)
-    L, R, g0, g = geom.algebra, geom.pair, geom.g0, geom.inner
-    phi = geom.phi.phi_full
-    phi_inv = geom.phi.phi_inv_full
-    Xf, Yf, Uf = _embed(geom, X), _embed(geom, Y), _embed(geom, U)
-    b = lambda a, c: bracket(L, a, c)
-
-    t1 = 0.25 * (
-        g0.dot(b(phi @ Uf, Yf) + b(Uf, phi @ Yf), b(Yf, Xf))
-        + g0.dot(b(Uf, Yf), b(phi @ Yf, Xf) + b(Yf, phi @ Xf))
-    )
-    t2 = 0.75 * g.dot(
-        R.m_coords(project(R, b(Yf, Uf), "m")),
-        R.m_coords(project(R, b(Yf, Xf), "m")),
-    )
-    t3 = 0.5 * g0.dot(b(Uf, phi @ Xf) + b(Xf, phi @ Uf), phi_inv @ b(Yf, phi @ Yf))
-    t4 = -0.25 * g0.dot(
-        b(Uf, phi @ Yf) + b(Yf, phi @ Uf),
-        phi_inv @ (b(Yf, phi @ Xf) + b(Xf, phi @ Yf)),
-    )
-    value = t1 + t2 + t3 + t4
-    return value if convention == "paper-verbatim" else ORACLE_SIGN * value
+    YU = np.stack((geom.pair.embed_m(Y), geom.pair.embed_m(U)))
+    return _sign(convention) * _ClosedForms(geom, X)(YU, geom.algebra.ad(YU))[0]
 
 
 def puttmann_URYY(
@@ -133,66 +202,46 @@ def puttmann_URYY(
     Y: np.ndarray,
     U: np.ndarray,
     convention: str = "oracle-aligned",
-    first_term: str = "statement",
-    X: np.ndarray | None = None,
 ) -> float:
     """Closed-form <R(U,Y)Y, U>; all vectors in m-coordinates.
 
-    first_term='statement' pairs the first term with [Y,U] (the canonical
-    form; it alone survives the X = 0 Riemannian reduction).  The
-    diagnostic variant 'proof' pairs with [Y,X] instead and needs X.
+    The first term pairs with [Y,U]; it alone survives the X = 0
+    Riemannian reduction.
     """
     _check_convention(convention)
-    L, R, g0, g = geom.algebra, geom.pair, geom.g0, geom.inner
-    phi = geom.phi.phi_full
-    phi_inv = geom.phi.phi_inv_full
-    Yf, Uf = _embed(geom, Y), _embed(geom, U)
-    b = lambda a, c: bracket(L, a, c)
-
-    if first_term == "statement":
-        pair_with = b(Yf, Uf)
-    elif first_term == "proof":
-        if X is None:
-            raise InputError("first_term='proof' needs the drift vector X")
-        pair_with = b(Yf, _embed(geom, X))
-    else:
-        raise InputError(f"first_term must be 'statement' or 'proof', got {first_term!r}")
-
-    t1 = 0.5 * g0.dot(b(phi @ Uf, Yf) + b(Uf, phi @ Yf), pair_with)
-    bm = R.m_coords(project(R, b(Yf, Uf), "m"))
-    t2 = 0.75 * g.dot(bm, bm)
-    t3 = g0.dot(b(Uf, phi @ Uf), phi_inv @ b(Yf, phi @ Yf))
-    t4 = -0.25 * g0.dot(
-        b(Uf, phi @ Yf) + b(Yf, phi @ Uf),
-        phi_inv @ (b(Yf, phi @ Uf) + b(Uf, phi @ Yf)),
-    )
-    value = t1 + t2 + t3 + t4
-    return value if convention == "paper-verbatim" else ORACLE_SIGN * value
-
-
-def _oracle_RUYY(
-    geom: HomogeneousGeometry, U: np.ndarray, Y: np.ndarray
-) -> np.ndarray | None:
-    """R(U,Y)Y in m-coordinates via the strongest available oracle."""
-    if geom.pair.h_dim == 0:
-        conn = koszul_connection(geom.algebra, geom.inner)
-        return curvature_oracle(conn, geom.algebra, U, Y, Y)
-    if check_naturally_reductive(geom.algebra, geom.pair, geom.inner).ok:
-        return nat_reductive_R(geom.algebra, geom.pair, U, Y)
-    return None
+    YU = np.stack((geom.pair.embed_m(Y), geom.pair.embed_m(U)))
+    closed = _ClosedForms(geom, np.zeros(geom.m_dim))
+    return _sign(convention) * closed(YU, geom.algebra.ad(YU))[1]
 
 
 def _assemble(
-    g: InnerProduct,
-    X: np.ndarray,
-    flag: Flag,
-    contractions: Contractions,
+    XY: float, XU: float, XRYY: float, URYY: float
 ) -> tuple[float, float, float]:
-    XY = g.dot(X, flag.Y)
-    XU = g.dot(X, flag.U)
-    numerator = 6.0 * contractions.XRYY * XU + contractions.URYY * (1.0 - XY**2)
+    """Numerator, denominator and K from <X,Y>, <X,U> and the contractions."""
+    numerator = 6.0 * XRYY * XU + URYY * (1.0 - XY**2)
     denominator = (1.0 + XY) ** 4 * (2.0 * XU**2 - XY**2 + 1.0)
     return numerator, denominator, numerator / denominator
+
+
+def _check_call(
+    geom: HomogeneousGeometry,
+    d: FinslerData,
+    method: str,
+    convention: str,
+    require_valid: bool,
+) -> None:
+    _check_convention(convention)
+    if method not in METHODS:
+        raise InputError(f"method must be one of {METHODS}, got {method!r}")
+    g = geom.inner
+    if d.g.dim != g.dim or not np.allclose(d.g.g, g.g):
+        raise InputError("FinslerData metric does not match the geometry")
+    if require_valid:
+        rep = validate_finsler(d)
+        if not rep.ok:
+            raise PreconditionError(
+                f"drift vector fails the Finsler condition (|X|_g = {rep.norm_X:g})"
+            )
 
 
 def flag_curvature(
@@ -207,60 +256,29 @@ def flag_curvature(
 
     The flag is re-orthonormalized first (a projection when it already is
     orthonormal).  K = [6 <X,R(U,Y)Y> <X,U> + <R(U,Y)Y,U> (1 - <X,Y>^2)]
-    / [(1 + <X,Y>)^4 (2 <X,U>^2 - <X,Y>^2 + 1)].
+    / [(1 + <X,Y>)^4 (2 <X,U>^2 - <X,Y>^2 + 1)].  The general method also
+    reports the oracle value of <R(U,Y)Y,U>: the Koszul connection with
+    trivial isotropy, else the naturally reductive formula where it holds.
     """
-    _check_convention(convention)
-    if method not in METHODS:
-        raise InputError(f"method must be one of {METHODS}, got {method!r}")
+    _check_call(geom, d, method, convention, require_valid)
     g = geom.inner
-    if d.g.dim != g.dim or not np.allclose(d.g.g, g.g):
-        raise InputError("FinslerData metric does not match the geometry")
-    if require_valid:
-        rep = validate_finsler(d)
-        if not rep.ok:
-            raise PreconditionError(
-                f"drift vector fails the Finsler condition (|X|_g = {rep.norm_X:g})"
-            )
     flag = orthonormalize_flag(g, flag.Y, flag.U)
     Y, U, X = flag.Y, flag.U, d.X
-
-    oracle_URYY = None
-    sign_mismatch = None
+    XRYY, URYY, r_vec = _Kernel(geom, X, method, convention)(Y, U)
+    oracle_URYY, sign_mismatch = URYY, None
     if method == "general":
-        XRYY = puttmann_XRYY(geom, X, Y, U, convention)
-        URYY = puttmann_URYY(geom, Y, U, convention)
-        r_vec = _oracle_RUYY(geom, U, Y)
-        RYYY = g.dot(Y, r_vec) if r_vec is not None else 0.0
-        if r_vec is not None:
-            oracle_URYY = g.dot(r_vec, U)
+        if geom.pair.h_dim == 0:
+            r_vec = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
+        oracle_URYY = g.dot(r_vec, U) if r_vec is not None else None
+        if oracle_URYY is not None:
             sign_mismatch = abs(URYY - oracle_URYY) > max(
                 1e-9, 1e-9 * abs(oracle_URYY)
             )
-    elif method == "naturally-reductive":
-        r_vec = nat_reductive_R(geom.algebra, geom.pair, U, Y, g=g)
-        XRYY = g.dot(X, r_vec)
-        URYY = g.dot(U, r_vec)
-        RYYY = g.dot(Y, r_vec)
-        oracle_URYY = URYY
-    else:  # bi-invariant corollary
-        if geom.pair.h_dim != 0:
-            raise PreconditionError("bi-invariant method needs trivial isotropy")
-        rep = check_bi_invariance(geom.algebra, g.g)
-        if not rep.ok:
-            raise PreconditionError(
-                f"metric is not bi-invariant (defect {rep.max_defect:g})"
-            )
-        W = bracket(geom.algebra, Y, bracket(geom.algebra, U, Y))
-        XRYY = 0.25 * g.dot(X, W)
-        URYY = 0.25 * g.dot(U, W)
-        RYYY = 0.25 * g.dot(Y, W)
-        oracle_URYY = URYY
-
-    contractions = Contractions(XRYY=XRYY, URYY=URYY, RYYY=RYYY)
-    numerator, denominator, K = _assemble(g, X, flag, contractions)
+    RYYY = g.dot(Y, r_vec) if r_vec is not None else 0.0
+    numerator, denominator, K = _assemble(g.dot(X, Y), g.dot(X, U), XRYY, URYY)
     return CurvatureReport(
         K=K,
-        contractions=contractions,
+        contractions=Contractions(XRYY=XRYY, URYY=URYY, RYYY=RYYY),
         numerator=numerator,
         denominator=denominator,
         convention=convention,
@@ -290,20 +308,16 @@ def flag_curvature_biinvariant(
     X = np.asarray(X, dtype=float)
     flag = orthonormalize_flag(g, flag.Y, flag.U)
     Y, U = flag.Y, flag.U
-    W = bracket(L, Y, bracket(L, U, Y))
-    XY = g.dot(X, Y)
-    XU = g.dot(X, U)
-    numerator = 6.0 * g.dot(X, W) * XU + g.dot(U, W) * (1.0 - XY**2)
-    denominator = 4.0 * (1.0 + XY) ** 4 * (2.0 * XU**2 - XY**2 + 1.0)
-    K = numerator / denominator
-    contractions = Contractions(
-        XRYY=0.25 * g.dot(X, W), URYY=0.25 * g.dot(U, W), RYYY=0.25 * g.dot(Y, W)
+    r = _nat_reductive_RUYY(L.ad(Y), U, 0)  # 1/4 [Y,[U,Y]]
+    contractions = Contractions(XRYY=g.dot(X, r), URYY=g.dot(U, r), RYYY=g.dot(Y, r))
+    numerator, denominator, K = _assemble(
+        g.dot(X, Y), g.dot(X, U), contractions.XRYY, contractions.URYY
     )
     return CurvatureReport(
         K=K,
         contractions=contractions,
-        numerator=numerator,
-        denominator=denominator,
+        numerator=4.0 * numerator,
+        denominator=4.0 * denominator,
         convention="oracle-aligned",
         method="bi-invariant",
         oracle_URYY=contractions.URYY,
@@ -372,11 +386,19 @@ def scan_flags(
     method: str = "general",
     convention: str = "oracle-aligned",
 ) -> ScanSummary:
-    """Seeded random scan of flags; summary statistics of K."""
+    """Seeded random scan of flags; summary statistics of K.
+
+    The call is validated and the per-geometry operators are built once;
+    each flag then costs one sample and one kernel evaluation of K.  Among
+    flags whose K ties with the extreme (within 1e-12 max(1, |K|)), the
+    first is the witness.
+    """
     if geom.m_dim < 2:
         raise FlagError("scan needs m_dim >= 2 (no flags exist otherwise)")
     if n_samples < 1:
         raise InputError("n_samples must be positive")
+    _check_call(geom, d, method, convention, require_valid=True)
+    kernel = _Kernel(geom, d.X, method, convention)
     rng = np.random.default_rng(seed)
     g_inv_sqrt = _inv_sqrt(geom.inner.g)
     ks = np.empty(n_samples)
@@ -384,17 +406,22 @@ def scan_flags(
     for i in range(n_samples):
         flag = sample_flag(geom.inner, rng, g_inv_sqrt)
         flags.append(flag)
-        ks[i] = flag_curvature(geom, d, flag, method=method, convention=convention).K
-    i_min = int(np.argmin(ks))
-    i_max = int(np.argmax(ks))
+        ks[i] = kernel.K(flag.Y, flag.U)
+    min_K, max_K = float(np.min(ks)), float(np.max(ks))
+    i_min, i_max = _first_near(ks, min_K), _first_near(ks, max_K)
     return ScanSummary(
         n_samples=n_samples,
         seed=seed,
-        min_K=float(ks[i_min]),
-        max_K=float(ks[i_max]),
+        min_K=min_K,
+        max_K=max_K,
         mean_K=float(np.mean(ks)),
         argmin_index=i_min,
         argmax_index=i_max,
         argmin_flag=flags[i_min],
         argmax_flag=flags[i_max],
     )
+
+
+def _first_near(ks: np.ndarray, k: float) -> int:
+    """First index whose value lies within 1e-12 max(1, |k|) of k."""
+    return int(np.argmax(np.abs(ks - k) <= 1e-12 * max(1.0, abs(k))))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -10,17 +11,23 @@ from .algebra import LieAlgebraSpec, ReductivePair
 from .errors import InputError
 from .metrics import (
     BiInvariantForm,
+    CheckReport,
     InnerProduct,
     MetricEndomorphism,
+    check_bi_invariance,
+    check_naturally_reductive,
     inner_from_phi,
 )
+from .riemann import ConnectionTable, koszul_connection
 
 
 @dataclass(frozen=True)
 class HomogeneousGeometry:
     """A homogeneous space G/H at the Lie-algebra level.
 
-    The inner product on m is derived from (g0, phi) at construction.
+    The inner product on m is derived from (g0, phi) at construction.  The
+    operators that do not depend on a flag are cached on first use; the
+    geometry is frozen and its arrays are read-only, so they never go stale.
     """
 
     algebra: LieAlgebraSpec
@@ -41,6 +48,25 @@ class HomogeneousGeometry:
     @property
     def m_dim(self) -> int:
         return self.pair.m_dim
+
+    @cached_property
+    def g0_phi_inv(self) -> np.ndarray:
+        """g0 phi^-1 on the full algebra: <a, phi^-1 b>_0 = a @ g0_phi_inv @ b."""
+        return self.g0.g0 @ self.phi.phi_inv_full
+
+    @cached_property
+    def connection(self) -> ConnectionTable:
+        """Koszul Levi-Civita connection; needs trivial isotropy."""
+        return koszul_connection(self.algebra, self.inner)
+
+    @cached_property
+    def naturally_reductive(self) -> CheckReport:
+        return check_naturally_reductive(self.algebra, self.pair, self.inner)
+
+    @cached_property
+    def bi_invariance(self) -> CheckReport:
+        """Bi-invariance of the metric itself; needs trivial isotropy."""
+        return check_bi_invariance(self.algebra, self.inner.g)
 
 
 def make_geometry(

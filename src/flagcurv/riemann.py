@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, ReductivePair, bracket, project
+from .algebra import LieAlgebraSpec, ReductivePair, bracket
 from .errors import (
     FlagError,
     InputError,
@@ -95,18 +95,26 @@ def nat_reductive_R(
             )
     uf = R.embed_m(np.asarray(u, dtype=float))
     yf = R.embed_m(np.asarray(y, dtype=float))
-    b = bracket(L, uf, yf)
-    bm = project(R, b, "m")
-    bh = project(R, b, "h")
-    term_m = project(R, bracket(L, yf, bm), "m")
-    term_h = bracket(L, yf, bh)
-    stray = float(np.max(np.abs(term_h[: R.h_dim]))) if R.h_dim else 0.0
+    return _nat_reductive_RUYY(L.ad(yf), uf, R.h_dim, tol)
+
+
+def _nat_reductive_RUYY(
+    ad_y: np.ndarray, uf: np.ndarray, h_dim: int, tol: float = TOL_ORACLE
+) -> np.ndarray:
+    """Kernel of nat_reductive_R: ad_y acts on row vectors (v @ ad_y = [y, v]),
+    uf is in full coordinates, the result in m-coordinates."""
+    b = -(uf @ ad_y)  # [u, y]
+    parts = np.zeros((2, b.shape[0]))
+    parts[0, h_dim:] = b[h_dim:]
+    parts[1, :h_dim] = b[:h_dim]
+    term_m, term_h = parts @ ad_y  # [y, [u,y]_m], [y, [u,y]_h]
+    stray = float(np.max(np.abs(term_h[:h_dim]))) if h_dim else 0.0
     if stray > tol:
         raise PreconditionError(
             f"[y, [u,y]_h] has an h-component of size {stray:g}; "
             "the decomposition is not ad(h)-invariant"
         )
-    return R.m_coords(0.25 * term_m + term_h)
+    return 0.25 * term_m[h_dim:] + term_h[h_dim:]
 
 
 def sectional(

@@ -212,6 +212,18 @@ class TestGoldenOutput:
                   "--output", "json", "--force")
         assert got[:2] == (0, (GOLDEN / f"curvature_{name}.json").read_text())
 
+    @pytest.mark.parametrize("name", ["su2_plus_r", "heisenberg"])
+    def test_forced_scan(self, capsys, name):
+        got = run(capsys, "scan", str(CONFIGS / f"{name}.json"),
+                  "--output", "json", "--force")
+        assert got[:2] == (0, (GOLDEN / f"scan_{name}.json").read_text())
+
+
+def test_removed_fd_step_option_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", str(CONFIGS / "su2.json"), "--fd-step", "-3"])
+    assert exc.value.code == 1
+
 
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -257,6 +257,17 @@ class TestScan:
         assert s.max_K - s.min_K < 1e-9
         assert s.mean_K == pytest.approx(0.25, abs=1e-9)
 
+    def test_constant_curvature_ties_report_first_flag(self, su2, su2_u1):
+        # K is constant up to rounding, so every flag ties with the extremes
+        geom = make_geometry(su2)
+        d = FinslerData(g=geom.inner, X=np.zeros(3))
+        s = scan_flags(geom, d, n_samples=1000, seed=7)
+        assert s.argmin_index == s.argmax_index == 0
+        geom = make_geometry(su2_u1, h_dim=1)
+        d = FinslerData(g=geom.inner, X=np.zeros(2))
+        s = scan_flags(geom, d, n_samples=500, seed=5, method="naturally-reductive")
+        assert s.argmin_index == s.argmax_index == 0
+
     def test_su2_u1_constant(self, su2_u1):
         geom = make_geometry(su2_u1, h_dim=1)
         d = FinslerData(g=geom.inner, X=np.zeros(2))

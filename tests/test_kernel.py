@@ -1,0 +1,332 @@
+"""The per-geometry curvature kernel against the einsum formulas it replaced.
+
+The reference functions below are the earlier per-flag implementations,
+kept verbatim in their arithmetic: Puttmann's closed forms, the naturally
+reductive curvature and the Koszul oracle, each bracket an einsum over the
+structure constants.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import flagcurv
+from flagcurv import (
+    FinslerData,
+    LieAlgebraSpec,
+    PreconditionError,
+    check_bi_invariance,
+    check_naturally_reductive,
+    flag_curvature,
+    flag_curvature_biinvariant,
+    make_geometry,
+    nat_reductive_R,
+    orthonormalize_flag,
+    puttmann_URYY,
+    puttmann_XRYY,
+    sample_flag,
+    scan_flags,
+)
+from flagcurv.metrics import Flag
+from conftest import direct_sum, heisenberg_tensor, so_tensor, sphere_tensor, su2_tensor
+
+CONVENTIONS = ("oracle-aligned", "paper-verbatim")
+METHODS = ("general", "naturally-reductive", "bi-invariant")
+
+
+# --- reference: the einsum formulas ---------------------------------------
+
+def ref_bracket(c, x, y):
+    return np.einsum("i,j,ijk->k", x, y, c)
+
+
+def ref_project(h, x, part):
+    out = np.zeros_like(x)
+    if part == "h":
+        out[:h] = x[:h]
+    else:
+        out[h:] = x[h:]
+    return out
+
+
+def ref_puttmann(geom, X, Y, U, convention):
+    """(<X,R(U,Y)Y>, <R(U,Y)Y,U>) from the printed closed forms."""
+    c, h = geom.algebra.c, geom.pair.h_dim
+    g0, G = geom.g0.g0, geom.inner.g
+    phi, phi_inv = geom.phi.phi_full, geom.phi.phi_inv_full
+    Xf, Yf, Uf = (geom.pair.embed_m(v) for v in (X, Y, U))
+    b = lambda a, d: ref_bracket(c, a, d)
+    dot0 = lambda a, d: float(a @ g0 @ d)
+    dot = lambda a, d: float(a[h:] @ G @ d[h:])
+
+    t1 = 0.25 * (
+        dot0(b(phi @ Uf, Yf) + b(Uf, phi @ Yf), b(Yf, Xf))
+        + dot0(b(Uf, Yf), b(phi @ Yf, Xf) + b(Yf, phi @ Xf))
+    )
+    t2 = 0.75 * dot(ref_project(h, b(Yf, Uf), "m"), ref_project(h, b(Yf, Xf), "m"))
+    t3 = 0.5 * dot0(b(Uf, phi @ Xf) + b(Xf, phi @ Uf), phi_inv @ b(Yf, phi @ Yf))
+    t4 = -0.25 * dot0(
+        b(Uf, phi @ Yf) + b(Yf, phi @ Uf),
+        phi_inv @ (b(Yf, phi @ Xf) + b(Xf, phi @ Yf)),
+    )
+    xryy = t1 + t2 + t3 + t4
+
+    t1 = 0.5 * dot0(b(phi @ Uf, Yf) + b(Uf, phi @ Yf), b(Yf, Uf))
+    bm = ref_project(h, b(Yf, Uf), "m")
+    t2 = 0.75 * dot(bm, bm)
+    t3 = dot0(b(Uf, phi @ Uf), phi_inv @ b(Yf, phi @ Yf))
+    t4 = -0.25 * dot0(
+        b(Uf, phi @ Yf) + b(Yf, phi @ Uf),
+        phi_inv @ (b(Yf, phi @ Uf) + b(Uf, phi @ Yf)),
+    )
+    uryy = t1 + t2 + t3 + t4
+    sign = 1.0 if convention == "paper-verbatim" else -1.0
+    return sign * xryy, sign * uryy
+
+
+def ref_nat_reductive_R(c, h, u, y):
+    """1/4 [y,[u,y]_m]_m + [y,[u,y]_h] in m-coordinates, or None on a stray
+    h-component."""
+    n = c.shape[0]
+    uf, yf = np.zeros(n), np.zeros(n)
+    uf[h:], yf[h:] = u, y
+    b = ref_bracket(c, uf, yf)
+    term_m = ref_project(h, ref_bracket(c, yf, ref_project(h, b, "m")), "m")
+    term_h = ref_bracket(c, yf, ref_project(h, b, "h"))
+    if h and np.max(np.abs(term_h[:h])) > 1e-10:
+        return None
+    return (0.25 * term_m + term_h)[h:]
+
+
+def ref_koszul_R(c, gm, u, y):
+    """R(u,y)y from the Koszul connection table (trivial isotropy)."""
+    bg = np.einsum("ija,ak->ijk", c, gm)
+    rhs = bg - np.einsum("jki->ijk", bg) + np.einsum("kij->ijk", bg)
+    gamma = 0.5 * np.einsum("ijk,kl->ijl", rhs, np.linalg.inv(gm))
+    nabla = lambda a, d: np.einsum("i,j,ijk->k", a, d, gamma)
+    return nabla(u, nabla(y, y)) - nabla(y, nabla(u, y)) - nabla(ref_bracket(c, u, y), y)
+
+
+def ref_report(geom, d, flag, method, convention):
+    """Everything flag_curvature reports, or PreconditionError."""
+    c, h, g = geom.algebra.c, geom.pair.h_dim, geom.inner
+    X = d.X
+    flag = orthonormalize_flag(g, flag.Y, flag.U)
+    Y, U = flag.Y, flag.U
+    nat_ok = check_naturally_reductive(geom.algebra, geom.pair, g).ok
+    r = None
+    if method == "general":
+        XRYY, URYY = ref_puttmann(geom, X, Y, U, convention)
+        if h == 0:
+            r = ref_koszul_R(c, g.g, U, Y)
+        elif nat_ok:
+            r = ref_nat_reductive_R(c, h, U, Y)
+            if r is None:
+                raise PreconditionError("stray h-component")
+    else:
+        if method == "bi-invariant":
+            if h or not check_bi_invariance(geom.algebra, g.g).ok:
+                raise PreconditionError("not bi-invariant")
+        elif not nat_ok:
+            raise PreconditionError("not naturally reductive")
+        r = ref_nat_reductive_R(c, h, U, Y)
+        if r is None:
+            raise PreconditionError("stray h-component")
+        XRYY, URYY = g.dot(X, r), g.dot(U, r)
+    XY, XU = g.dot(X, Y), g.dot(X, U)
+    numerator = 6.0 * XRYY * XU + URYY * (1.0 - XY**2)
+    denominator = (1.0 + XY) ** 4 * (2.0 * XU**2 - XY**2 + 1.0)
+    oracle = URYY if method != "general" else (g.dot(r, U) if r is not None else None)
+    return {
+        "K": numerator / denominator,
+        "XRYY": XRYY,
+        "URYY": URYY,
+        "RYYY": g.dot(Y, r) if r is not None else 0.0,
+        "numerator": numerator,
+        "denominator": denominator,
+        "oracle_URYY": oracle,
+    }
+
+
+def close(value, ref):
+    return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+# --- random problems --------------------------------------------------------
+
+SUMMANDS = {
+    "su2": su2_tensor(),
+    "so3": so_tensor(3),
+    "so4": so_tensor(4),
+    "h3": heisenberg_tensor(1),
+    "h5": heisenberg_tensor(2),
+}
+
+
+@st.composite
+def problems(draw):
+    """A geometry (optionally S^k x R first, so h = so(k)), drift and flag."""
+    sphere = draw(st.sampled_from([None, 2, 3]))
+    names = draw(st.lists(st.sampled_from(sorted(SUMMANDS)),
+                          min_size=0 if sphere else 1, max_size=2))
+    blocks = [sphere_tensor(sphere)] if sphere else []
+    blocks += [SUMMANDS[name] for name in names]
+    c = direct_sum(*blocks)
+    h = sphere * (sphere - 1) // 2 if sphere else 0
+    n = c.shape[0]
+    m = n - h
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # one scale per irreducible block of m: normal homogeneous, and
+        # bi-invariant on the compact summands
+        sizes = ([sphere, 1] if sphere else []) + [SUMMANDS[x].shape[0] for x in names]
+        phi = np.diag(np.repeat(rng.uniform(0.5, 2.0, len(sizes)), sizes))
+    else:
+        A = rng.normal(size=(m, m))
+        S = A @ A.T / m
+        phi = 0.5 * np.eye(m) + 0.5 * (S + S.T)
+    geom = make_geometry(LieAlgebraSpec(n, c), h_dim=h, phi=phi)
+    X = rng.normal(size=m)
+    X *= draw(st.floats(0.0, 0.95)) / geom.inner.norm(X)
+    flag = Flag(Y=rng.normal(size=m), U=rng.normal(size=m))
+    return geom, FinslerData(g=geom.inner, X=X), flag
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems())
+def test_kernel_matches_einsum_reference(problem):
+    geom, d, flag = problem
+    for method in METHODS:
+        for convention in CONVENTIONS:
+            try:
+                ref = ref_report(geom, d, flag, method, convention)
+            except PreconditionError:
+                with pytest.raises(PreconditionError):
+                    flag_curvature(geom, d, flag, method=method, convention=convention)
+                continue
+            rep = flag_curvature(geom, d, flag, method=method, convention=convention)
+            got = {
+                "K": rep.K,
+                "XRYY": rep.contractions.XRYY,
+                "URYY": rep.contractions.URYY,
+                "RYYY": rep.contractions.RYYY,
+                "numerator": rep.numerator,
+                "denominator": rep.denominator,
+                "oracle_URYY": rep.oracle_URYY,
+            }
+            for key, value in ref.items():
+                if value is None:
+                    assert got[key] is None, (method, convention, key)
+                else:
+                    assert close(got[key], value), (method, convention, key, got[key], value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems())
+def test_wrappers_match_einsum_reference(problem):
+    geom, d, flag = problem
+    g, c, h = geom.inner, geom.algebra.c, geom.pair.h_dim
+    fl = orthonormalize_flag(g, flag.Y, flag.U)
+    for convention in CONVENTIONS:
+        xryy, uryy = ref_puttmann(geom, d.X, fl.Y, fl.U, convention)
+        assert close(puttmann_XRYY(geom, d.X, fl.Y, fl.U, convention), xryy)
+        assert close(puttmann_URYY(geom, fl.Y, fl.U, convention), uryy)
+    r = ref_nat_reductive_R(c, h, fl.U, fl.Y)
+    got = nat_reductive_R(geom.algebra, geom.pair, fl.U, fl.Y)
+    assert all(close(a, b) for a, b in zip(got, r))
+    if h == 0 and check_bi_invariance(geom.algebra, g.g).ok:
+        rep = flag_curvature_biinvariant(geom.algebra, g, d.X, fl)
+        ref = ref_report(geom, d, fl, "bi-invariant", "oracle-aligned")
+        assert close(rep.K, ref["K"])
+        assert close(rep.numerator, 4.0 * ref["numerator"])
+        assert close(rep.denominator, 4.0 * ref["denominator"])
+
+
+def test_stray_h_component_still_raises_on_general():
+    # [e2,e3] = e1 and [e3,e1] = e1 with h = span(e1): [m, m] has no
+    # m-component, so natural reductivity holds on m, but [h, m] is not in
+    # m.  The general method's oracle must refuse, as the scalar path did.
+    c = np.zeros((3, 3, 3))
+    c[1, 2, 0], c[2, 1, 0] = 1.0, -1.0
+    c[2, 0, 0], c[0, 2, 0] = 1.0, -1.0
+    geom = make_geometry(LieAlgebraSpec(3, c), h_dim=1)
+    assert geom.naturally_reductive.ok
+    d = FinslerData(g=geom.inner, X=np.zeros(2))
+    flag = Flag(Y=np.array([0.0, 1.0]), U=np.array([1.0, 0.0]))
+    assert ref_nat_reductive_R(c, 1, flag.U, flag.Y) is None
+    with pytest.raises(PreconditionError, match="h-component"):
+        flag_curvature(geom, d, flag)
+    with pytest.raises(PreconditionError, match="h-component"):
+        scan_flags(geom, d, n_samples=5, seed=0)
+
+
+# --- scan_flags --------------------------------------------------------------
+
+def _scan_cases():
+    su2_r = make_geometry(LieAlgebraSpec(4, direct_sum(su2_tensor(), np.zeros((1, 1, 1)))))
+    heis = make_geometry(LieAlgebraSpec(3, heisenberg_tensor()))
+    sphere = make_geometry(LieAlgebraSpec(4, sphere_tensor(2)), h_dim=1,
+                           phi=np.diag([1.0, 1.0, 2.0]))
+    return [
+        (su2_r, np.array([0.0, 0.0, 0.0, 0.5]), "general"),
+        (su2_r, np.array([0.0, 0.0, 0.0, 0.5]), "bi-invariant"),
+        (heis, np.array([0.3, -0.2, 0.1]), "general"),
+        (sphere, np.array([0.0, 0.0, 0.4]), "naturally-reductive"),
+        (sphere, np.array([0.0, 0.0, 0.4]), "general"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_scan_cases())))
+def test_scan_equals_flag_loop(case):
+    geom, X, method = _scan_cases()[case]
+    d = FinslerData(g=geom.inner, X=X)
+    s = scan_flags(geom, d, n_samples=200, seed=13, method=method)
+    rng = np.random.default_rng(13)
+    flags = [sample_flag(geom.inner, rng) for _ in range(200)]
+    ks = np.array([flag_curvature(geom, d, f, method=method).K for f in flags])
+    assert close(s.min_K, ks.min()) and close(s.max_K, ks.max())
+    assert close(s.mean_K, ks.mean())
+    for index, flag, k in ((s.argmin_index, s.argmin_flag, ks.min()),
+                           (s.argmax_index, s.argmax_flag, ks.max())):
+        assert index == int(np.flatnonzero(np.abs(ks - k) <= 1e-12 * max(1, abs(k)))[0])
+        assert np.array_equal(flag.Y, flags[index].Y)
+        assert np.array_equal(flag.U, flags[index].U)
+
+
+def _count(monkeypatch, module, name):
+    """Count calls of module.name wherever a flagcurv module binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("flagcurv") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", range(len(_scan_cases())))
+def test_scan_builds_per_geometry_work_once(monkeypatch, case):
+    koszul = _count(monkeypatch, flagcurv.riemann, "koszul_connection")
+    natred = _count(monkeypatch, flagcurv.metrics, "check_naturally_reductive")
+    finsler = _count(monkeypatch, flagcurv.finsler, "validate_finsler")
+    geom, X, method = _scan_cases()[case]  # a fresh geometry: nothing cached
+    scan_flags(geom, FinslerData(g=geom.inner, X=X), n_samples=200, seed=1,
+               method=method)
+    assert len(koszul) <= 1 and len(natred) <= 1 and len(finsler) == 1
+
+
+def test_connection_is_cached_per_geometry(monkeypatch):
+    koszul = _count(monkeypatch, flagcurv.riemann, "koszul_connection")
+    geom, X, _ = _scan_cases()[2]
+    d = FinslerData(g=geom.inner, X=X)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        rep = flag_curvature(geom, d, sample_flag(geom.inner, rng))
+        assert rep.oracle_URYY is not None
+    assert len(koszul) == 1
