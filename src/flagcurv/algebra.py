@@ -8,7 +8,7 @@ basis-adapted: the first ``h_dim`` basis vectors span h, the rest span m.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,10 +82,6 @@ class ReductivePair:
         out[self.h_dim:] = x_m
         return out
 
-    def m_coords(self, x: np.ndarray) -> np.ndarray:
-        """m-coordinates of a full vector (drops the h block)."""
-        return np.asarray(x, dtype=float)[self.h_dim:]
-
 
 @dataclass(frozen=True)
 class ReductiveReport:
@@ -131,13 +127,13 @@ def jacobi_defect(L: LieAlgebraSpec) -> float:
     return defect
 
 
-def derived_subalgebra(L: LieAlgebraSpec, tol_rank: float = TOL_RANK) -> np.ndarray:
+def derived_subalgebra(L: LieAlgebraSpec) -> np.ndarray:
     """Orthonormal basis (rows) of span{[e_i, e_j]}, via SVD rank reveal."""
     rows = L.c.reshape(L.dim * L.dim, L.dim)
     if not np.any(rows):
         return np.zeros((0, L.dim))
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > tol_rank * max(1.0, s[0])))
+    rank = int(np.sum(s > TOL_RANK * max(1.0, s[0])))
     return vt[:rank]
 
 
@@ -156,10 +152,8 @@ def project(R: ReductivePair, x: np.ndarray, part: str) -> np.ndarray:
     return out
 
 
-def check_reductive(
-    L: LieAlgebraSpec, R: ReductivePair, tol: float = TOL_JACOBI
-) -> ReductiveReport:
-    """Verify [h, h] <= h and [h, m] <= m within tol."""
+def check_reductive(L: LieAlgebraSpec, R: ReductivePair) -> ReductiveReport:
+    """Verify [h, h] <= h and [h, m] <= m within TOL_JACOBI."""
     if R.dim != L.dim:
         raise InputError("reductive pair dimension does not match algebra")
     h, n = R.h_dim, L.dim
@@ -167,7 +161,7 @@ def check_reductive(
     sub_defect = float(np.max(np.abs(L.c[:h, :h, h:]))) if h and n > h else 0.0
     ad_defect = float(np.max(np.abs(L.c[:h, h:, :h]))) if h and n > h else 0.0
     return ReductiveReport(
-        subalgebra_ok=sub_defect <= tol,
-        ad_invariant_ok=ad_defect <= tol,
+        subalgebra_ok=sub_defect <= TOL_JACOBI,
+        ad_invariant_ok=ad_defect <= TOL_JACOBI,
         max_defect=max(sub_defect, ad_defect),
     )

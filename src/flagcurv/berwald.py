@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import LieAlgebraSpec, derived_subalgebra, TOL_RANK
 from .errors import InputError
 from .metrics import InnerProduct
-from .riemann import TOL_ORACLE, koszul_connection, sectional
+from .riemann import koszul_connection, sectional
 
 TOL_SKEW = 1e-9
 
@@ -46,27 +46,25 @@ class ObstructionReport:
     berwald_admissible: bool
 
 
-def is_perfect(L: LieAlgebraSpec, tol_rank: float = TOL_RANK) -> bool:
+def is_perfect(L: LieAlgebraSpec) -> bool:
     """True iff [g, g] = g (full-rank derived subalgebra)."""
-    return derived_subalgebra(L, tol_rank).shape[0] == L.dim
+    return derived_subalgebra(L).shape[0] == L.dim
 
 
-def parallel_obstruction_space(
-    L: LieAlgebraSpec, g: InnerProduct, tol_rank: float = TOL_RANK
-) -> np.ndarray:
+def parallel_obstruction_space(L: LieAlgebraSpec, g: InnerProduct) -> np.ndarray:
     """g-orthonormal basis (rows) of {x : g(x, [g, g]) = 0}.
 
     Any Berwald-admissible drift vector must lie in this space.
     """
     if g.dim != L.dim:
         raise InputError("metric must live on the full algebra (h_dim = 0)")
-    derived = derived_subalgebra(L, tol_rank)
+    derived = derived_subalgebra(L)
     if derived.shape[0] == 0:
         candidates = np.eye(L.dim)
     else:
         # null space of the map x -> (g(x, d_i))_i
         _, s, vt = np.linalg.svd(derived @ g.g)
-        rank = int(np.sum(s > tol_rank * max(1.0, s[0])))
+        rank = int(np.sum(s > TOL_RANK * max(1.0, s[0])))
         candidates = vt[rank:]
     if candidates.shape[0] == 0:
         return np.zeros((0, L.dim))
@@ -76,9 +74,7 @@ def parallel_obstruction_space(
     return (v / np.sqrt(w)).T @ candidates
 
 
-def ad_skew_check(
-    L: LieAlgebraSpec, g: InnerProduct, X: np.ndarray, tol: float = TOL_SKEW
-) -> SkewReport:
+def ad_skew_check(L: LieAlgebraSpec, g: InnerProduct, X: np.ndarray) -> SkewReport:
     """Defect of <[X,u],v> + <u,[X,v]> = 0 over all basis pairs."""
     if g.dim != L.dim:
         raise InputError("metric must live on the full algebra (h_dim = 0)")
@@ -86,14 +82,11 @@ def ad_skew_check(
     A = np.einsum("i,ijk->jk", X, L.c)  # A[j,:] = [X, e_j]
     D = A @ g.g + g.g @ A.T
     max_defect = float(np.max(np.abs(D))) if D.size else 0.0
-    return SkewReport(ok=max_defect <= tol, max_defect=max_defect)
+    return SkewReport(ok=max_defect <= TOL_SKEW, max_defect=max_defect)
 
 
 def obstruction_report(
-    L: LieAlgebraSpec,
-    g: InnerProduct,
-    X: np.ndarray,
-    tol: float = TOL_SKEW,
+    L: LieAlgebraSpec, g: InnerProduct, X: np.ndarray
 ) -> ObstructionReport:
     """Aggregate Berwald admissibility of a candidate drift vector."""
     X = np.asarray(X, dtype=float)
@@ -104,15 +97,15 @@ def obstruction_report(
     if space.shape[0]:
         # residual of X after g-orthogonal projection onto the space
         resid = X - space.T @ (space @ g.g @ X)
-        in_space = g.norm(resid) <= tol * max(1.0, g.norm(X))
+        in_space = g.norm(resid) <= TOL_SKEW * max(1.0, g.norm(X))
     else:
-        in_space = bool(g.norm(X) <= tol)
-    skew = ad_skew_check(L, g, X, tol)
+        in_space = bool(g.norm(X) <= TOL_SKEW)
+    skew = ad_skew_check(L, g, X)
     conn = koszul_connection(L, g)
     nabla = np.einsum("ijk,j->ik", conn.gamma, X)  # rows: nabla_{e_i} X
     nabla_norm = float(np.max(np.abs(nabla))) if nabla.size else 0.0
     admissible = bool(
-        in_space and skew.ok and nabla_norm <= max(tol, TOL_ORACLE) and g.norm(X) > 0
+        in_space and skew.ok and nabla_norm <= TOL_SKEW and g.norm(X) > 0
     )
     return ObstructionReport(
         perfect=perfect,

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import berwald as berwald_mod
-from .algebra import check_reductive, jacobi_defect
+from .algebra import TOL_JACOBI, check_reductive, jacobi_defect
 from .config import ProblemConfig, build_problem, parse_config
 from .errors import (
     FlagcurvError,
@@ -91,17 +91,21 @@ def _vec(v: np.ndarray) -> str:
     return "[" + ", ".join(fmt(float(x)) for x in v) + "]"
 
 
+def _structure_checks(geom) -> list[tuple[str, bool, float, bool]]:
+    """(name, ok, defect, hard) of the Jacobi identity and the reductive split."""
+    jd = jacobi_defect(geom.algebra)
+    red = check_reductive(geom.algebra, geom.pair)
+    return [
+        ("jacobi", jd <= TOL_JACOBI, jd, True),
+        ("reductive_subalgebra", red.subalgebra_ok, red.max_defect, True),
+        ("reductive_ad_invariance", red.ad_invariant_ok, red.max_defect, True),
+    ]
+
+
 def cmd_validate(config: ProblemConfig, args) -> int:
     geom, data, _ = build_problem(config)
     L, pair, g = geom.algebra, geom.pair, geom.inner
-    checks = []
-
-    jd = jacobi_defect(L)
-    checks.append(("jacobi", jd <= 1e-9, jd, True))
-
-    red = check_reductive(L, pair)
-    checks.append(("reductive_subalgebra", red.subalgebra_ok, red.max_defect, True))
-    checks.append(("reductive_ad_invariance", red.ad_invariant_ok, red.max_defect, True))
+    checks = _structure_checks(geom)
 
     bi = check_bi_invariance(L, geom.g0.g0)
     checks.append(("g0_bi_invariance", bi.ok, bi.max_defect, False))
@@ -157,14 +161,9 @@ def cmd_validate(config: ProblemConfig, args) -> int:
 def _gate(config: ProblemConfig, args):
     geom, data, raw_flags = build_problem(config)
     if not args.force:
-        jd = jacobi_defect(geom.algebra)
-        if jd > 1e-9:
-            raise ValidationError(f"Jacobi identity fails (defect {jd:g})")
-        red = check_reductive(geom.algebra, geom.pair)
-        if not (red.subalgebra_ok and red.ad_invariant_ok):
-            raise ValidationError(
-                f"decomposition is not reductive (defect {red.max_defect:g})"
-            )
+        for name, ok, defect, _ in _structure_checks(geom):
+            if not ok:
+                raise ValidationError(f"check {name} fails (defect {defect:g})")
     return geom, data, raw_flags
 
 
@@ -349,21 +348,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("validate", cmd_validate),
-        ("curvature", cmd_curvature),
-        ("scan", cmd_scan),
-        ("berwald", cmd_berwald),
+    options = {
+        "--output": {"choices": ("table", "json"), "default": "table"},
+        "--convention": {"choices": CONVENTIONS},
+        "--method": {"choices": METHODS},
+        "--samples": {"type": int},
+        "--seed": {"type": int},
+        "--force": {"action": "store_true",
+                    "help": "run diagnostics even when validation-level checks fail"},
+    }
+    # Each subcommand accepts only the flags its command reads.
+    for name, fn, flags in (
+        ("validate", cmd_validate, ("--output",)),
+        ("curvature", cmd_curvature, ("--output", "--convention", "--method", "--force")),
+        ("scan", cmd_scan, tuple(options)),
+        ("berwald", cmd_berwald, ("--output", "--samples", "--seed", "--force")),
     ):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON problem config")
-        p.add_argument("--output", choices=("table", "json"), default="table")
-        p.add_argument("--convention", choices=CONVENTIONS, default=None)
-        p.add_argument("--method", choices=METHODS, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--force", action="store_true",
-                       help="run diagnostics even when validation-level checks fail")
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.set_defaults(func=fn)
     return parser
 

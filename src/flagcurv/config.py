@@ -10,12 +10,12 @@ vectors span the isotropy algebra.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, ReductivePair
+from .algebra import LieAlgebraSpec
 from .errors import InputError
 from .finsler import FinslerData
 from .flagcurvature import CONVENTIONS, METHODS
@@ -26,10 +26,8 @@ from .geometry import HomogeneousGeometry, make_geometry
 class RunOptions:
     sign_convention: str = "oracle-aligned"
     method: str = "general"
-    fd_step: float = 1e-5
     seed: int = 0
     samples: int = 1000
-    tolerances: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -160,8 +158,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
 
     raw_opts = doc.get("options", {})
     _require(isinstance(raw_opts, dict), "options must be an object")
-    opt_known = {"sign_convention", "method", "fd_step", "seed", "samples",
-                 "tolerances"}
+    opt_known = {"sign_convention", "method", "seed", "samples"}
     for key in raw_opts:
         _require(key in opt_known, f"unknown option {key!r}")
     convention = raw_opts.get("sign_convention", "oracle-aligned")
@@ -169,16 +166,11 @@ def config_from_dict(doc: dict) -> ProblemConfig:
              f"sign_convention must be one of {CONVENTIONS}")
     method = raw_opts.get("method", "general")
     _require(method in METHODS, f"method must be one of {METHODS}")
-    fd_step = raw_opts.get("fd_step", 1e-5)
-    _require(isinstance(fd_step, (int, float)) and fd_step > 0,
-             "fd_step must be a positive number")
     seed = raw_opts.get("seed", 0)
     _require(isinstance(seed, int) and seed >= 0, "seed must be a non-negative integer")
     samples = raw_opts.get("samples", 1000)
     _require(isinstance(samples, int) and samples >= 1,
              "samples must be a positive integer")
-    tolerances = raw_opts.get("tolerances", {})
-    _require(isinstance(tolerances, dict), "tolerances must be an object")
 
     return ProblemConfig(
         name=name,
@@ -192,10 +184,8 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         options=RunOptions(
             sign_convention=convention,
             method=method,
-            fd_step=float(fd_step),
             seed=seed,
             samples=samples,
-            tolerances=dict(tolerances),
         ),
     )
 

@@ -18,7 +18,7 @@ from .errors import FlagError, InputError, NumericError, PreconditionError
 from .metrics import Flag, InnerProduct
 
 TOL_BOUNDARY = 1e-12
-TOL_FD = 1e-6
+TOL_FLAG = 1e-10
 DEFAULT_FD_STEP = 1e-5
 
 
@@ -62,10 +62,10 @@ class IdentityReport:
     defect: float
 
 
-def validate_finsler(d: FinslerData, tol_boundary: float = TOL_BOUNDARY) -> FinslerReport:
+def validate_finsler(d: FinslerData) -> FinslerReport:
     """F is a Finsler metric iff |X|_g < 1 (strict)."""
     n = d.norm_X
-    return FinslerReport(ok=n < 1.0 - tol_boundary, norm_X=n, margin=1.0 - n)
+    return FinslerReport(ok=n < 1.0 - TOL_BOUNDARY, norm_X=n, margin=1.0 - n)
 
 
 def F_eval(d: FinslerData, y: np.ndarray) -> float:
@@ -163,25 +163,20 @@ def g_Y_fd(
     return float(mixed(h))
 
 
-def g_Y_matrix(d: FinslerData, Y: np.ndarray, source: str = "closed",
-               step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Full fundamental-tensor matrix at Y, from either route."""
+def g_Y_matrix(d: FinslerData, Y: np.ndarray) -> np.ndarray:
+    """Full closed-form fundamental-tensor matrix at Y."""
     n = d.g.dim
     eye = np.eye(n)
     out = np.empty((n, n))
-    fn = g_Y_closed if source == "closed" else g_Y_fd
-    kwargs = {} if source == "closed" else {"step": step}
     for i in range(n):
         for j in range(i, n):
-            out[i, j] = out[j, i] = fn(d, Y, eye[i], eye[j], **kwargs)
+            out[i, j] = out[j, i] = g_Y_closed(d, Y, eye[i], eye[j])
     return out
 
 
-def denominator_identity(
-    d: FinslerData, flag: Flag, tol_flag: float = 1e-10
-) -> IdentityReport:
+def denominator_identity(d: FinslerData, flag: Flag) -> IdentityReport:
     """g_Y(Y,Y) g_Y(U,U) - g_Y(U,Y)^2 vs (1+<X,Y>)^6 (2<X,U>^2 - <X,Y>^2 + 1)."""
-    _require_orthonormal(d.g, flag, tol_flag)
+    _require_orthonormal(d.g, flag)
     Y, U = flag.Y, flag.U
     lhs = (
         g_Y_closed(d, Y, Y, Y) * g_Y_closed(d, Y, U, U)
@@ -193,13 +188,13 @@ def denominator_identity(
     return IdentityReport(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
 
-def _require_orthonormal(g: InnerProduct, flag: Flag, tol: float) -> None:
+def _require_orthonormal(g: InnerProduct, flag: Flag) -> None:
     defect = max(
         abs(g.dot(flag.Y, flag.Y) - 1.0),
         abs(g.dot(flag.U, flag.U) - 1.0),
         abs(g.dot(flag.Y, flag.U)),
     )
-    if defect > tol:
+    if defect > TOL_FLAG:
         raise PreconditionError(
             f"flag is not g-orthonormal (defect {defect:g}); "
             "run orthonormalize_flag first"

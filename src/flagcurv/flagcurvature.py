@@ -15,15 +15,15 @@ single global sign calibrated against the Koszul oracle;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import LieAlgebraSpec
 from .errors import FlagError, InputError, PreconditionError
 from .finsler import FinslerData, g_Y_closed, g_Y_fd, validate_finsler
-from .geometry import HomogeneousGeometry
-from .metrics import Flag, InnerProduct, check_bi_invariance, orthonormalize_flag
+from .geometry import HomogeneousGeometry, make_geometry
+from .metrics import Flag, InnerProduct, orthonormalize_flag
 from .riemann import _nat_reductive_RUYY, curvature_oracle
 
 CONVENTIONS = ("oracle-aligned", "paper-verbatim")
@@ -296,33 +296,16 @@ def flag_curvature_biinvariant(
 ) -> CurvatureReport:
     """Bi-invariant corollary: K from the double bracket [Y,[U,Y]].
 
-    The factor 4 in the denominator absorbs the 1/4 of R = 1/4 [Y,[U,Y]].
+    The bi-invariant method of flag_curvature on the group with g0 = g; the
+    factor 4 in the denominator absorbs the 1/4 of R = 1/4 [Y,[U,Y]].
     """
     if g.dim != L.dim:
         raise PreconditionError("bi-invariant corollary needs trivial isotropy")
-    rep = check_bi_invariance(L, g.g)
-    if not rep.ok:
-        raise PreconditionError(
-            f"metric is not bi-invariant (defect {rep.max_defect:g})"
-        )
-    X = np.asarray(X, dtype=float)
-    flag = orthonormalize_flag(g, flag.Y, flag.U)
-    Y, U = flag.Y, flag.U
-    r = _nat_reductive_RUYY(L.ad(Y), U, 0)  # 1/4 [Y,[U,Y]]
-    contractions = Contractions(XRYY=g.dot(X, r), URYY=g.dot(U, r), RYYY=g.dot(Y, r))
-    numerator, denominator, K = _assemble(
-        g.dot(X, Y), g.dot(X, U), contractions.XRYY, contractions.URYY
+    rep = flag_curvature(
+        make_geometry(L, g0=g.g), FinslerData(g=g, X=X), flag,
+        method="bi-invariant", require_valid=False,
     )
-    return CurvatureReport(
-        K=K,
-        contractions=contractions,
-        numerator=4.0 * numerator,
-        denominator=4.0 * denominator,
-        convention="oracle-aligned",
-        method="bi-invariant",
-        oracle_URYY=contractions.URYY,
-        sign_mismatch=None,
-    )
+    return replace(rep, numerator=4.0 * rep.numerator, denominator=4.0 * rep.denominator)
 
 
 def numerator_identity_check(
@@ -330,7 +313,6 @@ def numerator_identity_check(
     flag: Flag,
     Ruyy: np.ndarray,
     gy_source: str = "closed",
-    fd_step: float = 1e-5,
 ) -> NumeratorReport:
     """Compare g_Y(R(U,Y)Y, U) with its expansion in metric contractions.
 
@@ -343,7 +325,7 @@ def numerator_identity_check(
     if gy_source == "closed":
         lhs = g_Y_closed(d, Y, Ruyy, U)
     elif gy_source == "fd":
-        lhs = g_Y_fd(d, Y, Ruyy, U, step=fd_step)
+        lhs = g_Y_fd(d, Y, Ruyy, U)
     else:
         raise InputError(f"gy_source must be 'closed' or 'fd', got {gy_source!r}")
     XY = g.dot(d.X, Y)
@@ -356,26 +338,17 @@ def numerator_identity_check(
     return NumeratorReport(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
 
-def sample_flag(
-    g: InnerProduct, rng: np.random.Generator, g_inv_sqrt: np.ndarray | None = None
-) -> Flag:
+def sample_flag(g: InnerProduct, rng: np.random.Generator) -> Flag:
     """One flag: Y uniform on the g-unit sphere, U uniform in Y-perp."""
     if g.dim < 2:
         raise FlagError("flags need m_dim >= 2")
-    if g_inv_sqrt is None:
-        g_inv_sqrt = _inv_sqrt(g.g)
     while True:
-        y = g_inv_sqrt @ rng.standard_normal(g.dim)
-        u = g_inv_sqrt @ rng.standard_normal(g.dim)
+        y = g.inv_sqrt @ rng.standard_normal(g.dim)
+        u = g.inv_sqrt @ rng.standard_normal(g.dim)
         try:
             return orthonormalize_flag(g, y, u, tol_dep=1e-8)
         except FlagError:
             continue  # resample; deterministic given the generator state
-
-
-def _inv_sqrt(gm: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(gm)
-    return v @ np.diag(1.0 / np.sqrt(w)) @ v.T
 
 
 def scan_flags(
@@ -400,11 +373,10 @@ def scan_flags(
     _check_call(geom, d, method, convention, require_valid=True)
     kernel = _Kernel(geom, d.X, method, convention)
     rng = np.random.default_rng(seed)
-    g_inv_sqrt = _inv_sqrt(geom.inner.g)
     ks = np.empty(n_samples)
     flags: list[Flag] = []
     for i in range(n_samples):
-        flag = sample_flag(geom.inner, rng, g_inv_sqrt)
+        flag = sample_flag(geom.inner, rng)
         flags.append(flag)
         ks[i] = kernel.K(flag.Y, flag.U)
     min_K, max_K = float(np.min(ks)), float(np.max(ks))

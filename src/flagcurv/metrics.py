@@ -7,6 +7,7 @@ orthonormalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,6 +137,12 @@ class InnerProduct:
     def norm(self, x: np.ndarray) -> float:
         return float(np.sqrt(max(self.dot(x, x), 0.0)))
 
+    @cached_property
+    def inv_sqrt(self) -> np.ndarray:
+        """g^(-1/2): maps standard normals to g-isotropic vectors."""
+        w, v = np.linalg.eigh(self.g)
+        return v @ np.diag(1.0 / np.sqrt(w)) @ v.T
+
 
 @dataclass(frozen=True)
 class Flag:
@@ -159,23 +166,18 @@ def inner_from_phi(g0: BiInvariantForm, phi: MetricEndomorphism) -> InnerProduct
     return InnerProduct(g0m @ phi.phi)
 
 
-def check_bi_invariance(
-    L: LieAlgebraSpec, g0: np.ndarray, tol: float = TOL_METRIC
-) -> CheckReport:
+def check_bi_invariance(L: LieAlgebraSpec, g0: np.ndarray) -> CheckReport:
     """Defect of <[z,x],y>_0 + <x,[z,y]>_0 = 0 over all basis triples."""
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (L.dim, L.dim):
         raise InputError("g0 shape does not match algebra dimension")
     d = np.einsum("zxa,ay->zxy", L.c, g0) + np.einsum("zya,xa->zxy", L.c, g0)
     max_defect = float(np.max(np.abs(d))) if d.size else 0.0
-    return CheckReport(ok=max_defect <= tol, max_defect=max_defect)
+    return CheckReport(ok=max_defect <= TOL_METRIC, max_defect=max_defect)
 
 
 def check_ad_h_invariance(
-    L: LieAlgebraSpec,
-    R: ReductivePair,
-    g: InnerProduct,
-    tol: float = TOL_METRIC,
+    L: LieAlgebraSpec, R: ReductivePair, g: InnerProduct
 ) -> CheckReport:
     """Defect of <[z,x]_m, y> + <x, [z,y]_m> = 0 for z in h, x, y in m."""
     _check_m_metric(L, R, g)
@@ -183,14 +185,11 @@ def check_ad_h_invariance(
     cm = L.c[:h, h:, h:]  # [h-basis, m-basis]_m in m-coordinates
     d = np.einsum("zxa,ay->zxy", cm, g.g) + np.einsum("zya,xa->zxy", cm, g.g)
     max_defect = float(np.max(np.abs(d))) if d.size else 0.0
-    return CheckReport(ok=max_defect <= tol, max_defect=max_defect)
+    return CheckReport(ok=max_defect <= TOL_METRIC, max_defect=max_defect)
 
 
 def check_naturally_reductive(
-    L: LieAlgebraSpec,
-    R: ReductivePair,
-    g: InnerProduct,
-    tol: float = TOL_METRIC,
+    L: LieAlgebraSpec, R: ReductivePair, g: InnerProduct
 ) -> CheckReport:
     """Defect of <x, [z,y]_m> + <[z,x]_m, y> = 0 for x, y, z in m."""
     _check_m_metric(L, R, g)
@@ -198,7 +197,7 @@ def check_naturally_reductive(
     cm = L.c[h:, h:, h:]  # [m-basis, m-basis]_m in m-coordinates
     d = np.einsum("xa,zya->zxy", g.g, cm) + np.einsum("zxa,ay->zxy", cm, g.g)
     max_defect = float(np.max(np.abs(d))) if d.size else 0.0
-    return CheckReport(ok=max_defect <= tol, max_defect=max_defect)
+    return CheckReport(ok=max_defect <= TOL_METRIC, max_defect=max_defect)
 
 
 def orthonormalize_flag(

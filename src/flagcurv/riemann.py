@@ -79,7 +79,6 @@ def nat_reductive_R(
     u: np.ndarray,
     y: np.ndarray,
     g: InnerProduct | None = None,
-    tol: float = TOL_ORACLE,
 ) -> np.ndarray:
     """R(U,Y)Y = 1/4 [y,[u,y]_m]_m + [y,[u,y]_h] for naturally reductive g.
 
@@ -88,19 +87,17 @@ def nat_reductive_R(
     does whenever [h, m] <= m); this is asserted, not silently projected.
     """
     if g is not None:
-        rep = check_naturally_reductive(L, R, g, tol=max(tol, 1e-9))
+        rep = check_naturally_reductive(L, R, g)
         if not rep.ok:
             raise PreconditionError(
                 f"metric is not naturally reductive (defect {rep.max_defect:g})"
             )
     uf = R.embed_m(np.asarray(u, dtype=float))
     yf = R.embed_m(np.asarray(y, dtype=float))
-    return _nat_reductive_RUYY(L.ad(yf), uf, R.h_dim, tol)
+    return _nat_reductive_RUYY(L.ad(yf), uf, R.h_dim)
 
 
-def _nat_reductive_RUYY(
-    ad_y: np.ndarray, uf: np.ndarray, h_dim: int, tol: float = TOL_ORACLE
-) -> np.ndarray:
+def _nat_reductive_RUYY(ad_y: np.ndarray, uf: np.ndarray, h_dim: int) -> np.ndarray:
     """Kernel of nat_reductive_R: ad_y acts on row vectors (v @ ad_y = [y, v]),
     uf is in full coordinates, the result in m-coordinates."""
     b = -(uf @ ad_y)  # [u, y]
@@ -109,7 +106,7 @@ def _nat_reductive_RUYY(
     parts[1, :h_dim] = b[:h_dim]
     term_m, term_h = parts @ ad_y  # [y, [u,y]_m], [y, [u,y]_h]
     stray = float(np.max(np.abs(term_h[:h_dim]))) if h_dim else 0.0
-    if stray > tol:
+    if stray > TOL_ORACLE:
         raise PreconditionError(
             f"[y, [u,y]_h] has an h-component of size {stray:g}; "
             "the decomposition is not ad(h)-invariant"

@@ -1,10 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flagcurv.cli import main
+from flagcurv.cli import build_parser, main
 from flagcurv.config import config_from_dict, parse_config
 from flagcurv.errors import InputError
 
@@ -219,10 +220,73 @@ class TestGoldenOutput:
         assert got[:2] == (0, (GOLDEN / f"scan_{name}.json").read_text())
 
 
-def test_removed_fd_step_option_exits_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", str(CONFIGS / "su2.json"), "--fd-step", "-3"])
-    assert exc.value.code == 1
+@pytest.mark.parametrize("command, extra, option, message", [
+    pytest.param("scan", ["--fd-step", "-3"], None, "unrecognized", id="scan--fd-step"),
+    pytest.param("validate", ["--convention", "paper-verbatim"], None, "unrecognized",
+                 id="validate--convention"),
+    pytest.param("validate", ["--method", "general"], None, "unrecognized",
+                 id="validate--method"),
+    pytest.param("validate", ["--samples", "5"], None, "unrecognized", id="validate--samples"),
+    pytest.param("validate", ["--seed", "3"], None, "unrecognized", id="validate--seed"),
+    pytest.param("validate", ["--force"], None, "unrecognized", id="validate--force"),
+    pytest.param("curvature", ["--samples", "5"], None, "unrecognized",
+                 id="curvature--samples"),
+    pytest.param("curvature", ["--seed", "3"], None, "unrecognized", id="curvature--seed"),
+    pytest.param("berwald", ["--convention", "paper-verbatim"], None, "unrecognized",
+                 id="berwald--convention"),
+    pytest.param("berwald", ["--method", "general"], None, "unrecognized",
+                 id="berwald--method"),
+    pytest.param("scan", [], {"fd_step": 1e-5}, "unknown option", id="options.fd_step"),
+    pytest.param("validate", [], {"tolerances": {}}, "unknown option",
+                 id="options.tolerances"),
+])
+def test_removed_fd_step_option_exits_1(capsys, tmp_path, command, extra, option, message):
+    path = CONFIGS / "su2.json"
+    if option is not None:
+        doc = json.loads(path.read_text())
+        doc["options"].update(option)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+    try:
+        code = main([command, str(path), *extra])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+class _ReadRecorder:
+    """Stands in for parsed arguments and records which ones are read."""
+
+    def __init__(self, values: dict):
+        self._values, self.read = values, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return self._values[name]
+
+
+def test_each_subcommand_accepts_only_the_flags_its_command_reads(capsys):
+    # su2_plus_r passes every gate and is Berwald admissible, so each
+    # command runs the branch that reads the most arguments.
+    path = str(CONFIGS / "su2_plus_r.json")
+    config = parse_config(path)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    accepted, read = {}, {}
+    for name, parser in subparsers.choices.items():
+        accepted[name] = {s for a in parser._actions for s in a.option_strings
+                          if s not in ("-h", "--help")}
+        args = _ReadRecorder(vars(parser.parse_args([path])))
+        assert args.func(config, args) == 0
+        read[name] = {"--" + dest for dest in args.read - {"func"}}
+    assert accepted == read
+    assert accepted == {
+        "validate": {"--output"},
+        "curvature": {"--output", "--convention", "--method", "--force"},
+        "scan": {"--output", "--convention", "--method", "--samples", "--seed", "--force"},
+        "berwald": {"--output", "--samples", "--seed", "--force"},
+    }
 
 
 def test_usage_error_exits_1(capsys):
