@@ -29,7 +29,6 @@ from .errors import (
     InputError,
     NumericError,
     PreconditionError,
-    UnsupportedConfigurationError,
     ValidationError,
 )
 from .finsler import (

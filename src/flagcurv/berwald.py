@@ -79,7 +79,7 @@ def ad_skew_check(L: LieAlgebraSpec, g: InnerProduct, X: np.ndarray) -> SkewRepo
     if g.dim != L.dim:
         raise InputError("metric must live on the full algebra (h_dim = 0)")
     X = np.asarray(X, dtype=float)
-    A = np.einsum("i,ijk->jk", X, L.c)  # A[j,:] = [X, e_j]
+    A = L.ad(X)  # A[j,:] = [X, e_j]
     D = A @ g.g + g.g @ A.T
     max_defect = float(np.max(np.abs(D))) if D.size else 0.0
     return SkewReport(ok=max_defect <= TOL_SKEW, max_defect=max_defect)
@@ -148,7 +148,7 @@ def sectional_along_X_sign(
         min_K = min(min_K, k)
         max_K = max(max_K, k)
     # witnesses orthogonal to the image [X, g]: K must vanish there
-    image = np.einsum("i,ijk->jk", X, L.c)  # rows [X, e_j]
+    image = L.ad(X)  # rows [X, e_j]
     _, s, vt = np.linalg.svd(image @ g.g)
     rank = int(np.sum(s > TOL_RANK * max(1.0, s[0] if s.size else 1.0)))
     witnesses = []

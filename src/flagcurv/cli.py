@@ -29,12 +29,7 @@ from .errors import (
 )
 from .finsler import validate_finsler
 from .flagcurvature import CONVENTIONS, METHODS, flag_curvature, scan_flags
-from .metrics import (
-    check_ad_h_invariance,
-    check_bi_invariance,
-    check_naturally_reductive,
-    orthonormalize_flag,
-)
+from .metrics import check_bi_invariance, orthonormalize_flag
 
 SCHEMA_VERSION = 1
 
@@ -111,10 +106,10 @@ def cmd_validate(config: ProblemConfig, args) -> int:
     checks.append(("g0_bi_invariance", bi.ok, bi.max_defect, False))
 
     if pair.h_dim > 0:
-        adh = check_ad_h_invariance(L, pair, g)
+        adh = geom.ad_h_invariance
         checks.append(("ad_h_invariance", adh.ok, adh.max_defect, True))
 
-    nat = check_naturally_reductive(L, pair, g)
+    nat = geom.naturally_reductive
     checks.append(("naturally_reductive", nat.ok, nat.max_defect, False))
 
     fin = validate_finsler(data)

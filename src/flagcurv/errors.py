@@ -25,9 +25,5 @@ class FlagError(PreconditionError):
     """Degenerate flag: the two spanning vectors are linearly dependent."""
 
 
-class UnsupportedConfigurationError(PreconditionError):
-    """The requested operation does not apply to this configuration."""
-
-
 class NumericError(FlagcurvError):
     """A numerical computation failed (bad step size, singular solve)."""

@@ -24,7 +24,7 @@ from .errors import FlagError, InputError, PreconditionError
 from .finsler import FinslerData, g_Y_closed, g_Y_fd, validate_finsler
 from .geometry import HomogeneousGeometry, make_geometry
 from .metrics import Flag, InnerProduct, orthonormalize_flag
-from .riemann import _nat_reductive_RUYY, curvature_oracle
+from .riemann import _nat_reductive_RUYY, _require_reductive, curvature_oracle
 
 CONVENTIONS = ("oracle-aligned", "paper-verbatim")
 METHODS = ("general", "naturally-reductive", "bi-invariant")
@@ -94,33 +94,31 @@ class _Kernel:
     def __init__(
         self, geom: HomogeneousGeometry, X: np.ndarray, method: str, convention: str
     ):
-        h = geom.pair.h_dim
+        _require_reductive(geom.algebra, geom.pair)
         if method == "bi-invariant":
-            if h != 0:
+            if geom.pair.h_dim != 0:
                 raise PreconditionError("bi-invariant method needs trivial isotropy")
-            rep = geom.bi_invariance
-            if not rep.ok:
-                raise PreconditionError(
-                    f"metric is not bi-invariant (defect {rep.max_defect:g})"
-                )
+            checks = (("bi-invariant", geom.bi_invariance),)
         elif method == "naturally-reductive":
-            rep = geom.naturally_reductive
+            checks = (("ad(h)-invariant", geom.ad_h_invariance),
+                      ("naturally reductive", geom.naturally_reductive))
+        else:
+            checks = ()
+        for name, rep in checks:
             if not rep.ok:
                 raise PreconditionError(
-                    f"metric is not naturally reductive (defect {rep.max_defect:g})"
+                    f"metric is not {name} (defect {rep.max_defect:g})"
                 )
         self.geom, self.method, self.sign = geom, method, _sign(convention)
         self.Xg = X @ geom.inner.g
         if method == "general":
             self.closed = _ClosedForms(geom, X)
-            # The naturally reductive oracle can raise on a stray
-            # h-component, so it runs wherever it applies.
-            self.oracle = h > 0 and geom.naturally_reductive.ok
 
     def __call__(
         self, Y: np.ndarray, U: np.ndarray
     ) -> tuple[float, float, np.ndarray | None]:
-        """(XRYY, URYY, R(U,Y)Y or None) for a g-orthonormal flag."""
+        """(XRYY, URYY, R(U,Y)Y or None) for a g-orthonormal flag; the
+        general method's closed forms give no R(U,Y)Y."""
         geom = self.geom
         h = geom.pair.h_dim
         YU = np.zeros((2, geom.algebra.dim))
@@ -128,10 +126,8 @@ class _Kernel:
         if self.method != "general":
             r = _nat_reductive_RUYY(geom.algebra.ad(YU[0]), YU[1], h)
             return float(self.Xg @ r), float(U @ geom.inner.g @ r), r
-        ad_YU = geom.algebra.ad(YU)
-        r = _nat_reductive_RUYY(ad_YU[0], YU[1], h) if self.oracle else None
-        XRYY, URYY = self.closed(YU, ad_YU)
-        return self.sign * XRYY, self.sign * URYY, r
+        XRYY, URYY = self.closed(YU, geom.algebra.ad(YU))
+        return self.sign * XRYY, self.sign * URYY, None
 
     def K(self, Y: np.ndarray, U: np.ndarray) -> float:
         XRYY, URYY, _ = self(Y, U)
@@ -257,8 +253,8 @@ def flag_curvature(
     The flag is re-orthonormalized first (a projection when it already is
     orthonormal).  K = [6 <X,R(U,Y)Y> <X,U> + <R(U,Y)Y,U> (1 - <X,Y>^2)]
     / [(1 + <X,Y>)^4 (2 <X,U>^2 - <X,Y>^2 + 1)].  The general method also
-    reports the oracle value of <R(U,Y)Y,U>: the Koszul connection with
-    trivial isotropy, else the naturally reductive formula where it holds.
+    reports the oracle value of <R(U,Y)Y,U> from the geometry's Levi-Civita
+    connection (the Nomizu map) when the metric is ad(h)-invariant.
     """
     _check_call(geom, d, method, convention, require_valid)
     g = geom.inner
@@ -267,10 +263,10 @@ def flag_curvature(
     XRYY, URYY, r_vec = _Kernel(geom, X, method, convention)(Y, U)
     oracle_URYY, sign_mismatch = URYY, None
     if method == "general":
-        if geom.pair.h_dim == 0:
+        oracle_URYY = None
+        if geom.ad_h_invariance.ok:
             r_vec = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
-        oracle_URYY = g.dot(r_vec, U) if r_vec is not None else None
-        if oracle_URYY is not None:
+            oracle_URYY = g.dot(r_vec, U)
             sign_mismatch = abs(URYY - oracle_URYY) > max(
                 1e-9, 1e-9 * abs(oracle_URYY)
             )

@@ -14,6 +14,7 @@ from .metrics import (
     CheckReport,
     InnerProduct,
     MetricEndomorphism,
+    check_ad_h_invariance,
     check_bi_invariance,
     check_naturally_reductive,
     inner_from_phi,
@@ -56,8 +57,14 @@ class HomogeneousGeometry:
 
     @cached_property
     def connection(self) -> ConnectionTable:
-        """Koszul Levi-Civita connection; needs trivial isotropy."""
+        """Levi-Civita connection as the Nomizu map on m, for any isotropy;
+        it is the metric's connection where ad_h_invariance holds."""
         return koszul_connection(self.algebra, self.inner)
+
+    @cached_property
+    def ad_h_invariance(self) -> CheckReport:
+        """ad(h)-invariance of the metric on m; always holds with h_dim = 0."""
+        return check_ad_h_invariance(self.algebra, self.pair, self.inner)
 
     @cached_property
     def naturally_reductive(self) -> CheckReport:

@@ -1,9 +1,13 @@
-"""Brute-force Riemannian curvature oracles.
+"""Riemannian curvature of an invariant metric on G/H, from Lie-algebra data.
 
-Two independent routes validate the closed-form curvature contractions:
-the Koszul Levi-Civita connection for left-invariant metrics (trivial
-isotropy), and the naturally reductive curvature formula
-R(U,Y)Y = 1/4 [Y,[U,Y]_m]_m + [Y,[U,Y]_h].
+One route covers every isotropy: the Nomizu map Lambda_x y = nabla_x y of
+the Levi-Civita connection on m (Kobayashi-Nomizu, Foundations II, ch. X;
+Besse, Einstein Manifolds, 7.28-7.30), which is the Koszul formula on
+[., .]_m, with the curvature R(u,v)w = Lambda_u Lambda_v w
+- Lambda_v Lambda_u w - Lambda_[u,v]_m w - [[u,v]_h, w].  With trivial
+isotropy it is the Koszul connection of the left-invariant metric.  The
+naturally reductive formula R(U,Y)Y = 1/4 [Y,[U,Y]_m]_m + [Y,[U,Y]_h] is
+kept as a second, closed-form route.
 
 Sign convention: R(U,V)W = nabla_U nabla_V W - nabla_V nabla_U W
 - nabla_[U,V] W, under which the bi-invariant su(2) metric has positive
@@ -16,13 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, ReductivePair, bracket
-from .errors import (
-    FlagError,
-    InputError,
-    PreconditionError,
-    UnsupportedConfigurationError,
-)
+from .algebra import LieAlgebraSpec, ReductivePair, check_reductive
+from .errors import FlagError, InputError, PreconditionError
 from .metrics import InnerProduct, check_naturally_reductive
 
 TOL_ORACLE = 1e-10
@@ -30,7 +29,7 @@ TOL_ORACLE = 1e-10
 
 @dataclass(frozen=True)
 class ConnectionTable:
-    """gamma[i, j, :] = nabla_{e_i} e_j for left-invariant frame fields."""
+    """gamma[i, j, :] = nabla_{e_i} e_j, the Nomizu map in the basis of m."""
 
     gamma: np.ndarray
 
@@ -39,19 +38,19 @@ class ConnectionTable:
 
 
 def koszul_connection(L: LieAlgebraSpec, g: InnerProduct) -> ConnectionTable:
-    """Levi-Civita connection of a left-invariant metric on the group.
+    """Nomizu map of the Levi-Civita connection of an invariant metric on G/H.
 
-    Solves 2<nabla_x y, z> = <[x,y],z> - <[y,z],x> + <[z,x],y> over the
-    basis.  Only valid with trivial isotropy (metric on the full algebra).
+    g lives on m, the last g.dim basis vectors (so h_dim = L.dim - g.dim),
+    and must be ad(h)-invariant to define an invariant metric.  Solves
+    2<nabla_x y, z> = <[x,y]_m,z> - <[y,z]_m,x> + <[z,x]_m,y> over the basis
+    of m; with h_dim = 0 this is the Koszul connection on the group.
     """
-    if g.dim != L.dim:
-        raise UnsupportedConfigurationError(
-            "Koszul connection needs the metric on the full algebra "
-            "(trivial isotropy); use nat_reductive_R for h_dim > 0"
-        )
-    c, gm = L.c, g.g
-    # rhs[i,j,k] = <[e_i,e_j],e_k> - <[e_j,e_k],e_i> + <[e_k,e_i],e_j>
-    bg = np.einsum("ija,ak->ijk", c, gm)  # <[e_i,e_j],e_k>
+    h = L.dim - g.dim
+    if h < 0:
+        raise InputError(f"metric dimension {g.dim} exceeds algebra dimension {L.dim}")
+    c, gm = L.c[h:, h:, h:], g.g
+    # rhs[i,j,k] = <[e_i,e_j]_m,e_k> - <[e_j,e_k]_m,e_i> + <[e_k,e_i]_m,e_j>
+    bg = np.einsum("ija,ak->ijk", c, gm)  # <[e_i,e_j]_m,e_k>
     rhs = bg - np.einsum("jki->ijk", bg) + np.einsum("kij->ijk", bg)
     gamma = 0.5 * np.einsum("ijk,kl->ijl", rhs, np.linalg.inv(gm))
     gamma.setflags(write=False)
@@ -65,11 +64,14 @@ def curvature_oracle(
     v: np.ndarray,
     w: np.ndarray,
 ) -> np.ndarray:
-    """R(u,v)w by composing the connection table on left-invariant fields."""
+    """R(u,v)w on m by composing the connection table on invariant fields."""
+    h = L.dim - conn.gamma.shape[0]
+    b = np.einsum("i,j,ijk->k", u, v, L.c[h:, h:])  # [u, v], full coordinates
     return (
         conn.nabla(u, conn.nabla(v, w))
         - conn.nabla(v, conn.nabla(u, w))
-        - conn.nabla(bracket(L, u, v), w)
+        - conn.nabla(b[h:], w)
+        - np.einsum("a,j,ajk->k", b[:h], w, L.c[:h, h:, h:])  # [[u,v]_h, w]
     )
 
 
@@ -83,9 +85,10 @@ def nat_reductive_R(
     """R(U,Y)Y = 1/4 [y,[u,y]_m]_m + [y,[u,y]_h] for naturally reductive g.
 
     Arguments and result are in m-coordinates.  When g is supplied, natural
-    reductivity is verified first.  The h-bracket term must land in m (it
-    does whenever [h, m] <= m); this is asserted, not silently projected.
+    reductivity is verified first.  The split must be reductive, so that
+    the h-bracket term lands in m; this is asserted, not silently projected.
     """
+    _require_reductive(L, R)
     if g is not None:
         rep = check_naturally_reductive(L, R, g)
         if not rep.ok:
@@ -97,20 +100,23 @@ def nat_reductive_R(
     return _nat_reductive_RUYY(L.ad(yf), uf, R.h_dim)
 
 
+def _require_reductive(L: LieAlgebraSpec, R: ReductivePair) -> None:
+    rep = check_reductive(L, R)
+    if not (rep.subalgebra_ok and rep.ad_invariant_ok):
+        raise PreconditionError(
+            "the split is not reductive: [h, m] has an h-component or [h, h] "
+            f"an m-component (defect {rep.max_defect:g})"
+        )
+
+
 def _nat_reductive_RUYY(ad_y: np.ndarray, uf: np.ndarray, h_dim: int) -> np.ndarray:
-    """Kernel of nat_reductive_R: ad_y acts on row vectors (v @ ad_y = [y, v]),
-    uf is in full coordinates, the result in m-coordinates."""
+    """Kernel of nat_reductive_R on a reductive split: ad_y acts on row vectors
+    (v @ ad_y = [y, v]), uf is in full coordinates, the result in m-coordinates."""
     b = -(uf @ ad_y)  # [u, y]
     parts = np.zeros((2, b.shape[0]))
     parts[0, h_dim:] = b[h_dim:]
     parts[1, :h_dim] = b[:h_dim]
     term_m, term_h = parts @ ad_y  # [y, [u,y]_m], [y, [u,y]_h]
-    stray = float(np.max(np.abs(term_h[:h_dim]))) if h_dim else 0.0
-    if stray > TOL_ORACLE:
-        raise PreconditionError(
-            f"[y, [u,y]_h] has an h-component of size {stray:g}; "
-            "the decomposition is not ad(h)-invariant"
-        )
     return 0.25 * term_m[h_dim:] + term_h[h_dim:]
 
 

@@ -136,6 +136,24 @@ class TestCurvatureCommand:
         code, out, _ = run(capsys, "curvature", str(CONFIGS / "heisenberg.json"))
         assert code == 0
 
+    def test_naturally_reductive_refuses_a_metric_that_is_not_ad_h_invariant(
+        self, capsys, tmp_path
+    ):
+        # su(2)/u(1) with phi = diag(1, 4): [m, m]_m = 0, so natural
+        # reductivity holds trivially, but ad(h) does not preserve the metric.
+        doc = json.loads((CONFIGS / "su2_u1.json").read_text())
+        doc["phi"] = [[1.0, 0.0], [0.0, 4.0]]
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "curvature", str(p), "--method", "naturally-reductive")
+        assert code == 3
+        assert "ad(h)-invariant" in err
+        code, out, _ = run(capsys, "curvature", str(p), "--method", "general",
+                           "--output", "json")
+        assert code == 0
+        flag = json.loads(out)["flags"][0]
+        assert flag["oracle_URYY"] is None and flag["sign_mismatch"] is None
+
 
 class TestScanCommand:
     def test_constant_curvature(self, capsys):

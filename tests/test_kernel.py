@@ -2,8 +2,9 @@
 
 The reference functions below are the earlier per-flag implementations,
 kept verbatim in their arithmetic: Puttmann's closed forms, the naturally
-reductive curvature and the Koszul oracle, each bracket an einsum over the
-structure constants.
+reductive curvature and the Levi-Civita oracle (the Koszul formula on
+[., .]_m, the Nomizu map), each bracket an einsum over the structure
+constants.
 """
 
 import sys
@@ -17,6 +18,7 @@ from flagcurv import (
     FinslerData,
     LieAlgebraSpec,
     PreconditionError,
+    check_ad_h_invariance,
     check_bi_invariance,
     check_naturally_reductive,
     flag_curvature,
@@ -100,13 +102,21 @@ def ref_nat_reductive_R(c, h, u, y):
     return (0.25 * term_m + term_h)[h:]
 
 
-def ref_koszul_R(c, gm, u, y):
-    """R(u,y)y from the Koszul connection table (trivial isotropy)."""
-    bg = np.einsum("ija,ak->ijk", c, gm)
+def ref_nomizu_R(c, h, gm, u, y):
+    """R(u,y)y from the Nomizu map: the Koszul table on [., .]_m, then
+    -[[u,y]_h, y].  With h = 0 it is the Koszul connection of the group."""
+    n = c.shape[0]
+    cm = c[h:, h:, h:]
+    bg = np.einsum("ija,ak->ijk", cm, gm)
     rhs = bg - np.einsum("jki->ijk", bg) + np.einsum("kij->ijk", bg)
     gamma = 0.5 * np.einsum("ijk,kl->ijl", rhs, np.linalg.inv(gm))
     nabla = lambda a, d: np.einsum("i,j,ijk->k", a, d, gamma)
-    return nabla(u, nabla(y, y)) - nabla(y, nabla(u, y)) - nabla(ref_bracket(c, u, y), y)
+    uf, yf = np.zeros(n), np.zeros(n)
+    uf[h:], yf[h:] = u, y
+    b = ref_bracket(c, uf, yf)
+    bh_y = ref_bracket(c, ref_project(h, b, "h"), yf)
+    return (nabla(u, nabla(y, y)) - nabla(y, nabla(u, y)) - nabla(b[h:], y)
+            - bh_y[h:])
 
 
 def ref_report(geom, d, flag, method, convention):
@@ -116,21 +126,18 @@ def ref_report(geom, d, flag, method, convention):
     flag = orthonormalize_flag(g, flag.Y, flag.U)
     Y, U = flag.Y, flag.U
     nat_ok = check_naturally_reductive(geom.algebra, geom.pair, g).ok
+    adh_ok = check_ad_h_invariance(geom.algebra, geom.pair, g).ok
     r = None
     if method == "general":
         XRYY, URYY = ref_puttmann(geom, X, Y, U, convention)
-        if h == 0:
-            r = ref_koszul_R(c, g.g, U, Y)
-        elif nat_ok:
-            r = ref_nat_reductive_R(c, h, U, Y)
-            if r is None:
-                raise PreconditionError("stray h-component")
+        if adh_ok:
+            r = ref_nomizu_R(c, h, g.g, U, Y)
     else:
         if method == "bi-invariant":
             if h or not check_bi_invariance(geom.algebra, g.g).ok:
                 raise PreconditionError("not bi-invariant")
-        elif not nat_ok:
-            raise PreconditionError("not naturally reductive")
+        elif not (adh_ok and nat_ok):
+            raise PreconditionError("not ad(h)-invariant and naturally reductive")
         r = ref_nat_reductive_R(c, h, U, Y)
         if r is None:
             raise PreconditionError("stray h-component")
@@ -260,6 +267,42 @@ def test_stray_h_component_still_raises_on_general():
         flag_curvature(geom, d, flag)
     with pytest.raises(PreconditionError, match="h-component"):
         scan_flags(geom, d, n_samples=5, seed=0)
+
+
+def test_naturally_reductive_refuses_a_metric_that_is_not_ad_h_invariant():
+    # S^2 x R with phi coupling the sphere and the line: [m, m]_m = 0, so
+    # natural reductivity holds trivially, but ad(h) does not preserve g.
+    phi = np.array([[1.0, 0.0, 0.3], [0.0, 1.0, 0.0], [0.3, 0.0, 1.0]])
+    geom = make_geometry(LieAlgebraSpec(4, sphere_tensor(2)), h_dim=1, phi=phi)
+    assert geom.naturally_reductive.ok
+    assert geom.ad_h_invariance.max_defect == pytest.approx(0.3)
+    d = FinslerData(g=geom.inner, X=np.zeros(3))
+    flag = Flag(Y=np.eye(3)[0], U=np.eye(3)[1])
+    for call in (
+        lambda: flag_curvature(geom, d, flag, method="naturally-reductive"),
+        lambda: scan_flags(geom, d, n_samples=5, seed=0, method="naturally-reductive"),
+    ):
+        with pytest.raises(PreconditionError, match=r"ad\(h\)-invariant"):
+            call()
+    rep = flag_curvature(geom, d, flag)
+    assert rep.oracle_URYY is None and rep.sign_mismatch is None
+
+
+def test_general_oracle_on_an_invariant_metric_that_is_not_naturally_reductive():
+    # S^2 x R x SU(2) with a left-invariant, not bi-invariant, metric on
+    # SU(2): ad(h)-invariant, not naturally reductive.  g0 = I is
+    # bi-invariant, so the closed forms must agree with the oracle.
+    c = direct_sum(sphere_tensor(2), su2_tensor())
+    geom = make_geometry(LieAlgebraSpec(7, c), h_dim=1,
+                         phi=np.diag([1.5, 1.5, 0.7, 1.0, 2.0, 3.0]))
+    assert geom.ad_h_invariance.ok and not geom.naturally_reductive.ok
+    d = FinslerData(g=geom.inner, X=np.zeros(6))
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        rep = flag_curvature(geom, d, sample_flag(geom.inner, rng))
+        assert rep.oracle_URYY is not None
+        assert abs(rep.contractions.RYYY) <= 1e-12
+        assert rep.sign_mismatch is False
 
 
 # --- scan_flags --------------------------------------------------------------

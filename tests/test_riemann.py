@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagcurv import (
     FlagError,
     InnerProduct,
+    LieAlgebraSpec,
     PreconditionError,
     ReductivePair,
-    UnsupportedConfigurationError,
     bracket,
     curvature_oracle,
     koszul_connection,
+    make_geometry,
     nat_reductive_R,
+    orthonormalize_flag,
+    puttmann_URYY,
     sectional,
 )
+from flagcurv.riemann import _nat_reductive_RUYY
+from conftest import direct_sum, heisenberg_tensor, sphere_tensor, su2_tensor
 
 E3 = np.eye(3)
 E4 = np.eye(4)
@@ -33,9 +39,19 @@ class TestKoszul:
         assert np.allclose(conn.nabla(E3[0], E3[1]), 0.5 * E3[2])
         assert np.allclose(conn.nabla(E3[0], E3[0]), 0.0)
 
-    def test_h_dim_nonzero_rejected(self, su2_u1):
-        with pytest.raises(UnsupportedConfigurationError):
-            koszul_connection(su2_u1, InnerProduct(np.eye(2)))
+    def test_h_dim_nonzero_is_the_nomizu_map(self, su2_u1):
+        # su(2)/u(1) with g = I is the round sphere of curvature 1
+        g = InnerProduct(np.eye(2))
+        pair = ReductivePair(dim=3, h_dim=1)
+        conn = koszul_connection(su2_u1, g)
+        y, u = np.eye(2)
+        assert sectional(su2_u1, g, conn, y, u) == pytest.approx(1.0)
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            u, y = rng.normal(size=(2, 2))
+            lhs = curvature_oracle(conn, su2_u1, u, y, y)
+            rhs = nat_reductive_R(su2_u1, pair, u, y, g=g)
+            assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_metric_compatible_and_torsion_free(self, su2, heisenberg, seed):
@@ -143,6 +159,16 @@ class TestNatReductive:
             )
 
 
+    def test_non_reductive_split_rejected(self):
+        # [e2,e3] = e1 and [e3,e1] = e1 with h = span(e1): [h, m] is not in m
+        c = np.zeros((3, 3, 3))
+        c[1, 2, 0], c[2, 1, 0] = 1.0, -1.0
+        c[2, 0, 0], c[0, 2, 0] = 1.0, -1.0
+        with pytest.raises(PreconditionError, match="h-component"):
+            nat_reductive_R(LieAlgebraSpec(3, c), ReductivePair(dim=3, h_dim=1),
+                            E3[1, 1:], E3[2, 1:])
+
+
 class TestSectional:
     def test_su2_round(self, su2):
         g = InnerProduct(np.eye(3))
@@ -166,3 +192,91 @@ class TestSectional:
         conn = koszul_connection(su2, g)
         with pytest.raises(FlagError):
             sectional(su2, g, conn, E3[0], 3.0 * E3[0])
+
+
+# --- the Nomizu route on S^k x R (+ a group factor), h = so(k) -------------
+
+def near(a, b, scale=None):
+    """|a - b| <= 1e-12 max(1, |b|) entrywise, or 1e-12 max(1, scale)."""
+    scale = np.max(np.abs(b)) if scale is None else scale
+    return np.max(np.abs(a - b)) <= 1e-12 * max(1.0, scale)
+
+
+@st.composite
+def invariant_products(draw, block=None):
+    """S^k x R x G with phi = a I_k + T, T SPD on R + g: ad(h)-invariant,
+    since h = so(k) acts irreducibly on R^k and trivially on R + g.  T is
+    block-diagonal (a product metric) or couples R with g."""
+    k = draw(st.sampled_from([2, 3, 4, 7]))
+    group = draw(st.sampled_from(["su2", "h3"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = direct_sum(sphere_tensor(k), su2_tensor() if group == "su2" else heisenberg_tensor())
+    A = rng.normal(size=(4, 4))
+    T = A @ A.T / 4 + 0.5 * np.eye(4)
+    if draw(st.booleans()) if block is None else block:
+        T[0, 1:] = T[1:, 0] = 0.0
+    phi = np.zeros((k + 4, k + 4))
+    phi[:k, :k] = rng.uniform(0.5, 2.0) * np.eye(k)
+    phi[k:, k:] = T
+    geom = make_geometry(LieAlgebraSpec(c.shape[0], c), h_dim=k * (k - 1) // 2, phi=phi)
+    assert geom.ad_h_invariance.ok
+    return geom, k, group, rng.normal(size=(4, k + 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(invariant_products())
+def test_nomizu_map_is_levi_civita(problem):
+    geom, _, _, (y, u, v, w) = problem
+    L, g, h = geom.algebra, geom.inner, geom.pair.h_dim
+    conn = koszul_connection(L, g)
+    gamma = conn.gamma  # gamma[i, j] = Lambda(e_i) e_j
+    # Lambda(x) is g-skew: <Lambda(x)y, z> + <y, Lambda(x)z> = 0
+    skew = np.einsum("ijk,kl->ijl", gamma, g.g)
+    assert near(skew + skew.transpose(0, 2, 1), 0.0, scale=np.max(np.abs(skew)))
+    # Lambda(x)y - Lambda(y)x = [x, y]_m
+    assert near(gamma - gamma.transpose(1, 0, 2), L.c[h:, h:, h:])
+    # <R(u,y)y, y> = 0 and the first Bianchi identity
+    R = lambda a, b, d: curvature_oracle(conn, L, a, b, d)
+    r = R(u, y, y)
+    assert near(g.dot(r, y), 0.0, scale=np.max(np.abs(r)))
+    terms = (R(u, v, w), R(v, w, u), R(w, u, v))
+    assert near(sum(terms), 0.0, scale=max(np.max(np.abs(t)) for t in terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(invariant_products(block=True))
+def test_nomizu_curvature_splits_on_a_product_metric(problem):
+    geom, k, group, (y, u, _, _) = problem
+    L, g, h = geom.algebra, geom.inner, geom.pair.h_dim
+    r = curvature_oracle(geom.connection, L, u, y, y)
+    # the S^k x R factor by the naturally reductive formula
+    c1 = sphere_tensor(k)
+    L1 = LieAlgebraSpec(c1.shape[0], c1)
+    pad = lambda x: np.concatenate([np.zeros(h), x[:k + 1]])
+    r1 = _nat_reductive_RUYY(L1.ad(pad(y)), pad(u), h)
+    # the group factor by the h = 0 Koszul connection
+    L2 = LieAlgebraSpec(3, L.c[-3:, -3:, -3:])
+    g2 = InnerProduct(g.g[-3:, -3:])
+    r2 = curvature_oracle(koszul_connection(L2, g2), L2, u[-3:], y[-3:], y[-3:])
+    assert near(r, np.concatenate([r1, r2]))
+    if group == "su2":
+        # g0 = I is bi-invariant: the closed form agrees with the oracle
+        flag = orthonormalize_flag(g, y, u)
+        r = curvature_oracle(geom.connection, L, flag.U, flag.Y, flag.Y)
+        oracle = g.dot(r, flag.U)
+        assert near(puttmann_URYY(geom, flag.Y, flag.U), oracle)
+
+
+@pytest.mark.parametrize("k", [2, 4, 7])
+def test_nomizu_matches_naturally_reductive_on_spheres(k):
+    # S^k x R with phi = a I_k + b, as on the scan-reductive ladder
+    h = k * (k - 1) // 2
+    c = sphere_tensor(k)
+    L = LieAlgebraSpec(c.shape[0], c)
+    geom = make_geometry(L, h_dim=h, phi=np.diag([1.7] * k + [0.6]))
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        u, y = rng.normal(size=(2, k + 1))
+        r = curvature_oracle(geom.connection, L, u, y, y)
+        pad = lambda x: np.concatenate([np.zeros(h), x])
+        assert near(r, _nat_reductive_RUYY(L.ad(pad(y)), pad(u), h))
