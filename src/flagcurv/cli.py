@@ -41,7 +41,15 @@ EXIT_NUMERIC = 4
 
 
 def fmt(x: float) -> str:
-    return f"{x:.12g}"
+    """12 significant digits; + 0.0 turns -0.0 into 0.0."""
+    return f"{x + 0.0:.12g}"
+
+
+def _ryyy(rep) -> float:
+    """RYYY = <R(U,Y)Y,Y> vanishes identically; rounding noise up to
+    1e-12 max(1, |URYY|) prints as 0.0."""
+    RYYY, URYY = rep.contractions.RYYY, rep.contractions.URYY
+    return 0.0 if abs(RYYY) <= 1e-12 * max(1.0, abs(URYY)) else RYYY
 
 
 def _round_floats(obj):
@@ -197,7 +205,7 @@ def cmd_curvature(config: ProblemConfig, args) -> int:
                     "K": rep.K,
                     "XRYY": rep.contractions.XRYY,
                     "URYY": rep.contractions.URYY,
-                    "RYYY": rep.contractions.RYYY,
+                    "RYYY": _ryyy(rep),
                     "numerator": rep.numerator,
                     "denominator": rep.denominator,
                     "oracle_URYY": rep.oracle_URYY,
@@ -215,7 +223,7 @@ def cmd_curvature(config: ProblemConfig, args) -> int:
                     ("K", fmt(rep.K)),
                     ("XRYY", fmt(rep.contractions.XRYY)),
                     ("URYY", fmt(rep.contractions.URYY)),
-                    ("RYYY", fmt(rep.contractions.RYYY)),
+                    ("RYYY", fmt(_ryyy(rep))),
                     ("numerator", fmt(rep.numerator)),
                     ("denominator", fmt(rep.denominator)),
                     ("convention", rep.convention),

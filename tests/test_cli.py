@@ -1,11 +1,13 @@
 import argparse
 import json
+import math
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flagcurv.cli import build_parser, main
+from flagcurv.cli import _ryyy, build_parser, main
 from flagcurv.config import config_from_dict, parse_config
 from flagcurv.errors import InputError
 
@@ -311,3 +313,31 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "x.json"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("name", ["abelian_r3", "heisenberg", "su2", "su2_plus_r", "su2_u1"])
+def test_curvature_prints_no_negative_zero(capsys, name):
+    code, out, _ = run(capsys, "curvature", str(CONFIGS / f"{name}.json"),
+                       "--output", "json", "--force")
+    assert code == 0
+
+    def floats(obj):
+        if isinstance(obj, dict):
+            return [x for v in obj.values() for x in floats(v)]
+        if isinstance(obj, list):
+            return [x for v in obj for x in floats(v)]
+        return [obj] if isinstance(obj, float) else []
+
+    assert all(math.copysign(1.0, x) > 0 for x in floats(json.loads(out)) if x == 0.0)
+    code, out, _ = run(capsys, "curvature", str(CONFIGS / f"{name}.json"), "--force")
+    assert code == 0 and not {"-0", "-0.0"} & {t.strip("[],") for t in out.split()}
+
+
+def test_ryyy_prints_rounding_noise_as_zero():
+    rep = lambda ryyy, uryy: SimpleNamespace(
+        contractions=SimpleNamespace(RYYY=ryyy, URYY=uryy))
+    assert _ryyy(rep(-4e-17, 0.25)) == 0.0
+    assert _ryyy(rep(1e-12, -0.5)) == 0.0
+    assert _ryyy(rep(9e-12, 10.0)) == 0.0
+    assert _ryyy(rep(2e-11, 10.0)) == 2e-11
+    assert _ryyy(rep(-0.02, 0.6)) == -0.02
