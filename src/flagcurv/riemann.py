@@ -41,13 +41,15 @@ def koszul_connection(L: LieAlgebraSpec, g: InnerProduct) -> ConnectionTable:
     """Nomizu map of the Levi-Civita connection of an invariant metric on G/H.
 
     g lives on m, the last g.dim basis vectors (so h_dim = L.dim - g.dim),
-    and must be ad(h)-invariant to define an invariant metric.  Solves
+    and must be ad(h)-invariant to define an invariant metric; a split that
+    is not reductive is refused (PreconditionError).  Solves
     2<nabla_x y, z> = <[x,y]_m,z> - <[y,z]_m,x> + <[z,x]_m,y> over the basis
     of m; with h_dim = 0 this is the Koszul connection on the group.
     """
     h = L.dim - g.dim
     if h < 0:
         raise InputError(f"metric dimension {g.dim} exceeds algebra dimension {L.dim}")
+    _require_reductive(L, ReductivePair(dim=L.dim, h_dim=h))
     c, gm = L.c[h:, h:, h:], g.g
     # rhs[i,j,k] = <[e_i,e_j]_m,e_k> - <[e_j,e_k]_m,e_i> + <[e_k,e_i]_m,e_j>
     bg = np.einsum("ija,ak->ijk", c, gm)  # <[e_i,e_j]_m,e_k>

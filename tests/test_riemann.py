@@ -280,3 +280,15 @@ def test_nomizu_matches_naturally_reductive_on_spheres(k):
         r = curvature_oracle(geom.connection, L, u, y, y)
         pad = lambda x: np.concatenate([np.zeros(h), x])
         assert near(r, _nat_reductive_RUYY(L.ad(pad(y)), pad(u), h))
+
+
+def test_koszul_refuses_a_split_that_is_not_reductive():
+    # h = span(e1), [e2,e3] = e1, [e3,e1] = e1: [h, m] is not in m
+    c = np.zeros((3, 3, 3))
+    c[1, 2, 0], c[2, 1, 0] = 1.0, -1.0
+    c[2, 0, 0], c[0, 2, 0] = 1.0, -1.0
+    L = LieAlgebraSpec(3, c)
+    with pytest.raises(PreconditionError, match="not reductive"):
+        koszul_connection(L, InnerProduct(np.eye(2)))
+    with pytest.raises(PreconditionError, match="not reductive"):
+        make_geometry(L, h_dim=1).connection
