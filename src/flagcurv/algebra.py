@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,22 @@ class LieAlgebraSpec:
         c viewed as an (n, n*n) matrix.  A stack of x gives a stack of ad_x."""
         n = self.dim
         return (x @ self.c.reshape(n, n * n)).reshape(*np.shape(x)[:-1], n, n)
+
+    @cached_property
+    def _bracket_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(I, J, c[I, J]) over the pairs i < j with [e_i, e_j] != 0."""
+        I, J = np.triu_indices(self.dim, 1)
+        keep = np.any(self.c[I, J] != 0, axis=1)
+        return I[keep], J[keep], self.c[I[keep], J[keep]]
+
+    def brackets(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """[a_k, b_k] for each row k of two (N, n) stacks, as one product
+        (a_I b_J - a_J b_I) @ c[I, J] over the nonzero pairs i < j of c; no
+        ad stack or outer product is formed."""
+        I, J, c_IJ = self._bracket_table
+        ab = a[:, I] * b[:, J]
+        ab -= a[:, J] * b[:, I]
+        return ab @ c_IJ
 
 
 @dataclass(frozen=True)
@@ -99,7 +116,7 @@ def bracket(L: LieAlgebraSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"bracket arguments must have length {L.dim}, "
             f"got {x.shape} and {y.shape}"
         )
-    return np.einsum("i,j,ijk->k", x, y, L.c)
+    return L.brackets(x[None], y[None])[0]
 
 
 def jacobi_defect(L: LieAlgebraSpec) -> float:

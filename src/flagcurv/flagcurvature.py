@@ -3,7 +3,8 @@
 K is assembled from two curvature contractions <X, R(U,Y)Y> and
 <R(U,Y)Y, U>, which can come from three methods: the general
 Puttmann-style closed forms, the naturally reductive double-bracket
-formula, or the bi-invariant corollary.
+formula, or the bi-invariant corollary.  One kernel evaluates them on a
+stack of flags: one row for flag_curvature, blocks of rows for scan_flags.
 
 Sign conventions: the transcribed closed-form contractions evaluate, in
 the bi-invariant phi = I case, to the negatives of the oracle values
@@ -82,13 +83,23 @@ def _sign(convention: str) -> float:
     return 1.0 if convention == "paper-verbatim" else ORACLE_SIGN
 
 
+# Flags per kernel call in scan_flags: spreads numpy's per-call cost, and
+# keeps the bracket temporaries small ((5 * _BLOCK, 168) arrays on so(8)).
+_BLOCK = 16
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
 class _Kernel:
     """The contractions <X,R(U,Y)Y> and <R(U,Y)Y,U> of one geometry, drift,
-    method and convention, for any number of flags.
+    method and convention, on a stack of flags at once.
 
     Everything that does not depend on the flag, including the method's
-    preconditions, is settled at construction.  A flag then costs ad_Y (and
-    ad_U) plus about a dozen small matrix-vector products.
+    preconditions, is settled at construction.  A stack of N flags then
+    costs a fixed number of numpy calls on (N, n) arrays: its brackets come
+    from LieAlgebraSpec.brackets, no ad matrix is formed per flag.
     """
 
     def __init__(
@@ -116,30 +127,31 @@ class _Kernel:
 
     def __call__(
         self, Y: np.ndarray, U: np.ndarray
-    ) -> tuple[float, float, np.ndarray | None]:
-        """(XRYY, URYY, R(U,Y)Y or None) for a g-orthonormal flag; the
-        general method's closed forms give no R(U,Y)Y."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(XRYY, URYY, R(U,Y)Y or None) for g-orthonormal flags whose Y and U
+        are the rows of two (N, m) stacks: two (N,) arrays and an (N, m)
+        array; the general method's closed forms give no R(U,Y)Y."""
         geom = self.geom
-        h = geom.pair.h_dim
-        YU = np.zeros((2, geom.algebra.dim))
-        YU[:, h:] = Y, U
+        h, N = geom.pair.h_dim, len(Y)
+        YU = np.zeros((2 * N, geom.algebra.dim))
+        YU[:N, h:], YU[N:, h:] = Y, U
         if self.method != "general":
-            r = _nat_reductive_RUYY(geom.algebra.ad(YU[0]), YU[1], h)
-            return float(self.Xg @ r), float(U @ geom.inner.g @ r), r
-        XRYY, URYY = self.closed(YU, geom.algebra.ad(YU))
+            r = _nat_reductive_RUYY(geom.algebra, YU[:N], YU[N:], h)
+            return r @ self.Xg, _rowdot(U @ geom.inner.g, r), r
+        XRYY, URYY = self.closed(YU)
         return self.sign * XRYY, self.sign * URYY, None
 
-    def K(self, Y: np.ndarray, U: np.ndarray) -> float:
+    def K(self, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
         XRYY, URYY, _ = self(Y, U)
-        return _assemble(float(self.Xg @ Y), float(self.Xg @ U), XRYY, URYY)[2]
+        return _assemble(Y @ self.Xg, U @ self.Xg, XRYY, URYY)[2]
 
 
 class _ClosedForms:
     """Paper-verbatim closed forms (<X,R(U,Y)Y>, <R(U,Y)Y,U>) for one drift X.
 
     Term 2 pairs m-projections with the derived metric <.,.>; the other
-    terms use <.,.>_0 on the full algebra, as printed.  Brackets are row
-    vectors, [a, b] = b @ ad(a).
+    terms use <.,.>_0 on the full algebra, as printed.  Vectors are rows of
+    (N, n) stacks; the drift's brackets use its ad matrices, built once.
     """
 
     def __init__(self, geom: HomogeneousGeometry, X: np.ndarray):
@@ -152,32 +164,39 @@ class _ClosedForms:
             (-ad_X, -geom.algebra.ad(geom.phi.phi_full @ Xf), self.phi_T @ ad_X)
         )
 
-    def __call__(self, YU: np.ndarray, ad_YU: np.ndarray) -> tuple[float, float]:
-        """YU holds Y and U in full coordinates, ad_YU their ad matrices."""
+    def __call__(self, YU: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """YU stacks the Y of N flags over their U, (2N, n) in full
+        coordinates; returns the two contractions as (N,) arrays."""
         geom = self.geom
         h, g0, g0_phi_inv = geom.pair.h_dim, geom.g0.g0, geom.g0_phi_inv
-        (y_X, y_pX, x_pY), (_, u_pX, x_pU) = (YU @ self.drift_ops).reshape(2, 3, -1)
-        (y_pY, y_pU), (u_pY, u_pU) = (YU @ self.phi_T) @ ad_YU
-        y_U = YU[1] @ ad_YU[0]
+        N = len(YU) // 2
+        Y, U = YU[:N], YU[N:]
+        (y_X, y_pX, x_pY), (_, u_pX, x_pU) = (
+            (YU @ self.drift_ops).reshape(2, N, 3, -1).transpose(0, 2, 1, 3)
+        )
+        pY, pU = np.split(YU @ self.phi_T, 2)
+        y_pY, y_pU, u_pY, u_pU, y_U = geom.algebra.brackets(
+            np.concatenate((Y, Y, U, U, Y)), np.concatenate((pY, pU, pY, pU, U))
+        ).reshape(5, N, -1)
         s = u_pY - y_pU  # [phi U, Y] + [U, phi Y]
         t = u_pY + y_pU  # [U, phi Y] + [Y, phi U]
         s_g0, yU_g0, t_w = s @ g0, y_U @ g0, t @ g0_phi_inv
-        yU_m_g = y_U[h:] @ geom.inner.g
-        w = g0_phi_inv @ y_pY  # g0 phi^-1 [Y, phi Y]
+        yU_m_g = y_U[:, h:] @ geom.inner.g
+        w = y_pY @ g0_phi_inv.T  # g0 phi^-1 [Y, phi Y]
 
         xryy = (
-            0.25 * (s_g0 @ y_X + yU_g0 @ (x_pY - y_pX))
-            + 0.75 * (yU_m_g @ y_X[h:])
-            + 0.5 * ((u_pX + x_pU) @ w)
-            - 0.25 * (t_w @ (y_pX + x_pY))
+            0.25 * (_rowdot(s_g0, y_X) + _rowdot(yU_g0, x_pY - y_pX))
+            + 0.75 * _rowdot(yU_m_g, y_X[:, h:])
+            + 0.5 * _rowdot(u_pX + x_pU, w)
+            - 0.25 * _rowdot(t_w, y_pX + x_pY)
         )
         uryy = (
-            0.5 * (s_g0 @ y_U)
-            + 0.75 * (yU_m_g @ y_U[h:])
-            + u_pU @ w
-            - 0.25 * (t_w @ t)
+            0.5 * _rowdot(s_g0, y_U)
+            + 0.75 * _rowdot(yU_m_g, y_U[:, h:])
+            + _rowdot(u_pU, w)
+            - 0.25 * _rowdot(t_w, t)
         )
-        return float(xryy), float(uryy)
+        return xryy, uryy
 
 
 def puttmann_XRYY(
@@ -190,7 +209,7 @@ def puttmann_XRYY(
     """Closed-form <X, R(U,Y)Y>; all vectors in m-coordinates."""
     _check_convention(convention)
     YU = np.stack((geom.pair.embed_m(Y), geom.pair.embed_m(U)))
-    return _sign(convention) * _ClosedForms(geom, X)(YU, geom.algebra.ad(YU))[0]
+    return _sign(convention) * float(_ClosedForms(geom, X)(YU)[0][0])
 
 
 def puttmann_URYY(
@@ -207,7 +226,7 @@ def puttmann_URYY(
     _check_convention(convention)
     YU = np.stack((geom.pair.embed_m(Y), geom.pair.embed_m(U)))
     closed = _ClosedForms(geom, np.zeros(geom.m_dim))
-    return _sign(convention) * closed(YU, geom.algebra.ad(YU))[1]
+    return _sign(convention) * float(closed(YU)[1][0])
 
 
 def _assemble(
@@ -260,7 +279,8 @@ def flag_curvature(
     g = geom.inner
     flag = orthonormalize_flag(g, flag.Y, flag.U)
     Y, U, X = flag.Y, flag.U, d.X
-    XRYY, URYY, r_vec = _Kernel(geom, X, method, convention)(Y, U)
+    (XRYY,), (URYY,), r = _Kernel(geom, X, method, convention)(Y[None], U[None])
+    XRYY, URYY, r_vec = float(XRYY), float(URYY), None if r is None else r[0]
     oracle_URYY, sign_mismatch = URYY, None
     if method == "general":
         oracle_URYY = None
@@ -357,10 +377,10 @@ def scan_flags(
 ) -> ScanSummary:
     """Seeded random scan of flags; summary statistics of K.
 
-    The call is validated and the per-geometry operators are built once;
-    each flag then costs one sample and one kernel evaluation of K.  Among
-    flags whose K ties with the extreme (within 1e-12 max(1, |K|)), the
-    first is the witness.
+    The call is validated and the per-geometry operators are built once.
+    Flags are drawn one at a time into two (n_samples, m) arrays, then K is
+    evaluated on blocks of _BLOCK rows.  Among flags whose K ties with the
+    extreme (within 1e-12 max(1, |K|)), the first is the witness.
     """
     if geom.m_dim < 2:
         raise FlagError("scan needs m_dim >= 2 (no flags exist otherwise)")
@@ -369,12 +389,14 @@ def scan_flags(
     _check_call(geom, d, method, convention, require_valid=True)
     kernel = _Kernel(geom, d.X, method, convention)
     rng = np.random.default_rng(seed)
-    ks = np.empty(n_samples)
-    flags: list[Flag] = []
+    Y, U = np.empty((2, n_samples, geom.m_dim))
     for i in range(n_samples):
         flag = sample_flag(geom.inner, rng)
-        flags.append(flag)
-        ks[i] = kernel.K(flag.Y, flag.U)
+        Y[i], U[i] = flag.Y, flag.U
+    ks = np.empty(n_samples)
+    for start in range(0, n_samples, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        ks[block] = kernel.K(Y[block], U[block])
     min_K, max_K = float(np.min(ks)), float(np.max(ks))
     i_min, i_max = _first_near(ks, min_K), _first_near(ks, max_K)
     return ScanSummary(
@@ -385,8 +407,8 @@ def scan_flags(
         mean_K=float(np.mean(ks)),
         argmin_index=i_min,
         argmax_index=i_max,
-        argmin_flag=flags[i_min],
-        argmax_flag=flags[i_max],
+        argmin_flag=Flag(Y=Y[i_min].copy(), U=U[i_min].copy()),
+        argmax_flag=Flag(Y=Y[i_max].copy(), U=U[i_max].copy()),
     )
 
 

@@ -99,7 +99,7 @@ def nat_reductive_R(
             )
     uf = R.embed_m(np.asarray(u, dtype=float))
     yf = R.embed_m(np.asarray(y, dtype=float))
-    return _nat_reductive_RUYY(L.ad(yf), uf, R.h_dim)
+    return _nat_reductive_RUYY(L, yf[None], uf[None], R.h_dim)[0]
 
 
 def _require_reductive(L: LieAlgebraSpec, R: ReductivePair) -> None:
@@ -111,15 +111,15 @@ def _require_reductive(L: LieAlgebraSpec, R: ReductivePair) -> None:
         )
 
 
-def _nat_reductive_RUYY(ad_y: np.ndarray, uf: np.ndarray, h_dim: int) -> np.ndarray:
-    """Kernel of nat_reductive_R on a reductive split: ad_y acts on row vectors
-    (v @ ad_y = [y, v]), uf is in full coordinates, the result in m-coordinates."""
-    b = -(uf @ ad_y)  # [u, y]
-    parts = np.zeros((2, b.shape[0]))
-    parts[0, h_dim:] = b[h_dim:]
-    parts[1, :h_dim] = b[:h_dim]
-    term_m, term_h = parts @ ad_y  # [y, [u,y]_m], [y, [u,y]_h]
-    return 0.25 * term_m[h_dim:] + term_h[h_dim:]
+def _nat_reductive_RUYY(
+    L: LieAlgebraSpec, yf: np.ndarray, uf: np.ndarray, h_dim: int
+) -> np.ndarray:
+    """Kernel of nat_reductive_R on a reductive split, for (N, n) stacks of y
+    and u in full coordinates; the result is (N, m) in m-coordinates.  By
+    linearity 1/4 [y,[u,y]_m] + [y,[u,y]_h] = [y, 1/4 [u,y]_m + [u,y]_h]."""
+    b = L.brackets(uf, yf)  # [u, y]
+    b[:, h_dim:] *= 0.25
+    return L.brackets(yf, b)[:, h_dim:]
 
 
 def sectional(

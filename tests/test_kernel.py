@@ -8,6 +8,7 @@ constants.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from flagcurv import (
     sample_flag,
     scan_flags,
 )
+from flagcurv.flagcurvature import _BLOCK, _Kernel
 from flagcurv.metrics import Flag
 from conftest import direct_sum, heisenberg_tensor, so_tensor, sphere_tensor, su2_tensor
 
@@ -373,3 +375,87 @@ def test_connection_is_cached_per_geometry(monkeypatch):
         rep = flag_curvature(geom, d, sample_flag(geom.inner, rng))
         assert rep.oracle_URYY is not None
     assert len(koszul) == 1
+
+
+# --- the stacked kernel and the blocked scan ---------------------------------
+
+@settings(max_examples=15, deadline=None)
+@given(problems(), st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 250]),
+       st.sampled_from(CONVENTIONS))
+def test_stacked_kernel_matches_einsum_reference_on_every_row(problem, n, convention):
+    geom, d, _ = problem
+    rng = np.random.default_rng(n)
+    flags = [sample_flag(geom.inner, rng) for _ in range(n)]
+    Y, U = np.array([f.Y for f in flags]), np.array([f.U for f in flags])
+    for method in METHODS:
+        try:
+            refs = [ref_report(geom, d, f, method, convention) for f in flags]
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                _Kernel(geom, d.X, method, convention)
+            continue
+        kernel = _Kernel(geom, d.X, method, convention)
+        XRYY, URYY, r = kernel(Y, U)
+        K = kernel.K(Y, U)
+        assert XRYY.shape == URYY.shape == K.shape == (n,)
+        assert (r is None) == (method == "general")
+        for i, ref in enumerate(refs):
+            assert close(XRYY[i], ref["XRYY"]), (method, i)
+            assert close(URYY[i], ref["URYY"]), (method, i)
+            assert close(K[i], ref["K"]), (method, i)
+            if r is not None:
+                assert close(geom.inner.dot(Y[i], r[i]), ref["RYYY"]), (method, i)
+        # the scan draws the same flags and evaluates them block by block
+        s = scan_flags(geom, d, n_samples=n, seed=n, method=method,
+                       convention=convention)
+        ks = np.array([ref["K"] for ref in refs])
+        assert close(s.min_K, ks.min()) and close(s.max_K, ks.max())
+        assert close(s.mean_K, ks.mean())
+
+
+def _memory_cases():
+    rng = np.random.default_rng(8)
+    so8 = make_geometry(LieAlgebraSpec(28, so_tensor(8)),
+                        phi=np.diag(rng.uniform(0.5, 2.0, 28)))
+    X_so8 = rng.normal(size=28)
+    X_so8 *= 0.5 / so8.inner.norm(X_so8)
+    s7 = make_geometry(LieAlgebraSpec(29, sphere_tensor(7)), h_dim=21,
+                       phi=np.diag([1.7] * 7 + [0.6]))
+    su2_r = make_geometry(LieAlgebraSpec(4, direct_sum(su2_tensor(), np.zeros((1, 1, 1)))))
+    return {
+        "so8-general-250": (so8, X_so8, "general", 250),
+        "s7xr-naturally-reductive-250": (s7, 0.4 * np.eye(8)[7], "naturally-reductive", 250),
+        "su2+r-general-5000": (su2_r, np.array([0.0, 0.0, 0.0, 0.5]), "general", 5000),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_memory_cases()))
+def test_scan_memory_stays_below_one_megabyte(case):
+    # an unblocked (N, ...) stack of the kernel's temporaries peaks at 8 MB
+    # on so(8); one Flag object per sample at 2 MB for 5000 flags
+    geom, X, method, n = _memory_cases()[case]
+    d = FinslerData(g=geom.inner, X=X)
+    scan_flags(geom, d, n_samples=4, seed=0, method=method)  # fill the caches
+    tracemalloc.start()
+    try:
+        scan_flags(geom, d, n_samples=n, seed=1, method=method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+
+
+@pytest.mark.parametrize("case", range(len(_scan_cases())))
+def test_scan_makes_no_per_flag_ad_call(monkeypatch, case):
+    calls = []
+    ad = LieAlgebraSpec.ad
+    monkeypatch.setattr(LieAlgebraSpec, "ad",
+                        lambda self, x: calls.append(1) or ad(self, x))
+    counts = []
+    for n in (1, 250):
+        geom, X, method = _scan_cases()[case]  # a fresh geometry each time
+        calls.clear()
+        scan_flags(geom, FinslerData(g=geom.inner, X=X), n_samples=n, seed=1,
+                   method=method)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -253,7 +253,7 @@ def test_nomizu_curvature_splits_on_a_product_metric(problem):
     c1 = sphere_tensor(k)
     L1 = LieAlgebraSpec(c1.shape[0], c1)
     pad = lambda x: np.concatenate([np.zeros(h), x[:k + 1]])
-    r1 = _nat_reductive_RUYY(L1.ad(pad(y)), pad(u), h)
+    r1 = _nat_reductive_RUYY(L1, pad(y)[None], pad(u)[None], h)[0]
     # the group factor by the h = 0 Koszul connection
     L2 = LieAlgebraSpec(3, L.c[-3:, -3:, -3:])
     g2 = InnerProduct(g.g[-3:, -3:])
@@ -279,7 +279,7 @@ def test_nomizu_matches_naturally_reductive_on_spheres(k):
         u, y = rng.normal(size=(2, k + 1))
         r = curvature_oracle(geom.connection, L, u, y, y)
         pad = lambda x: np.concatenate([np.zeros(h), x])
-        assert near(r, _nat_reductive_RUYY(L.ad(pad(y)), pad(u), h))
+        assert near(r, _nat_reductive_RUYY(L, pad(y)[None], pad(u)[None], h)[0])
 
 
 def test_koszul_refuses_a_split_that_is_not_reductive():
