@@ -50,9 +50,9 @@ class LieAlgebraSpec:
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """ad_x acting on row vectors, v @ ad(x) = [x, v], as one product with
-        c viewed as an (n, n*n) matrix.  A stack of x gives a stack of ad_x."""
+        c viewed as an (n, n*n) matrix."""
         n = self.dim
-        return (x @ self.c.reshape(n, n * n)).reshape(*np.shape(x)[:-1], n, n)
+        return (x @ self.c.reshape(n, n * n)).reshape(n, n)
 
     @cached_property
     def _bracket_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
