@@ -239,6 +239,11 @@ class TestGoldenOutput:
                   "--output", "json", "--force")
         assert got[:2] == (0, (GOLDEN / f"scan_{name}.json").read_text())
 
+    @pytest.mark.parametrize("name", ["su2_plus_r", "heisenberg", "su2_u1"])
+    def test_berwald(self, capsys, name):
+        got = run(capsys, "berwald", str(CONFIGS / f"{name}.json"), "--output", "json")
+        assert got[:2] == (0, (GOLDEN / f"berwald_{name}.json").read_text())
+
 
 @pytest.mark.parametrize("command, extra, option, message", [
     pytest.param("scan", ["--fd-step", "-3"], None, "unrecognized", id="scan--fd-step"),
