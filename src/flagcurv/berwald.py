@@ -3,8 +3,9 @@
 A drift vector X can make F = (alpha + beta)^2 / alpha of Berwald type
 only if the corresponding field is parallel.  The directly checkable
 necessary conditions are g(X, [g, g]) = 0 and ad(X) g-skew-adjoint; a
-direct nabla X = 0 check through the Koszul connection supplies the
-in-package sufficiency test.  Perfect algebras exclude every X != 0.
+direct nabla X = 0 check through the geometry's Levi-Civita connection
+supplies the in-package sufficiency test.  Perfect algebras exclude every
+X != 0.  The checks need trivial isotropy (h_dim = 0).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import numpy as np
 
 from .algebra import LieAlgebraSpec, derived_subalgebra, TOL_RANK
 from .errors import InputError
+from .geometry import HomogeneousGeometry
 from .metrics import InnerProduct
-from .riemann import koszul_connection, sectional
+from .riemann import sectional
 
 TOL_SKEW = 1e-9
 
@@ -51,6 +53,25 @@ def is_perfect(L: LieAlgebraSpec) -> bool:
     return derived_subalgebra(L).shape[0] == L.dim
 
 
+def _null_rows(A: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the null space of x -> A @ x."""
+    _, s, vt = np.linalg.svd(A)
+    rank = int(np.sum(s > TOL_RANK * np.max(s, initial=1.0)))
+    return vt[rank:]
+
+
+def _group(
+    geom: HomogeneousGeometry, X: np.ndarray
+) -> tuple[LieAlgebraSpec, InnerProduct, np.ndarray]:
+    """Algebra, metric and drift of a geometry with trivial isotropy."""
+    if geom.pair.h_dim:
+        raise InputError(f"Berwald checks need h_dim = 0, got h_dim = {geom.pair.h_dim}")
+    X = np.asarray(X, dtype=float)
+    if X.shape != (geom.algebra.dim,):
+        raise InputError(f"drift vector must have length {geom.algebra.dim}")
+    return geom.algebra, geom.inner, X
+
+
 def parallel_obstruction_space(L: LieAlgebraSpec, g: InnerProduct) -> np.ndarray:
     """g-orthonormal basis (rows) of {x : g(x, [g, g]) = 0}.
 
@@ -58,16 +79,8 @@ def parallel_obstruction_space(L: LieAlgebraSpec, g: InnerProduct) -> np.ndarray
     """
     if g.dim != L.dim:
         raise InputError("metric must live on the full algebra (h_dim = 0)")
-    derived = derived_subalgebra(L)
-    if derived.shape[0] == 0:
-        candidates = np.eye(L.dim)
-    else:
-        # null space of the map x -> (g(x, d_i))_i
-        _, s, vt = np.linalg.svd(derived @ g.g)
-        rank = int(np.sum(s > TOL_RANK * max(1.0, s[0])))
-        candidates = vt[rank:]
-    if candidates.shape[0] == 0:
-        return np.zeros((0, L.dim))
+    # null space of the map x -> (g(x, d_i))_i over the rows d_i of [g, g]
+    candidates = _null_rows(derived_subalgebra(L) @ g.g)
     # g-orthonormalize the spanning set (small: eigendecompose the Gram matrix)
     gram = candidates @ g.g @ candidates.T
     w, v = np.linalg.eigh(gram)
@@ -85,24 +98,16 @@ def ad_skew_check(L: LieAlgebraSpec, g: InnerProduct, X: np.ndarray) -> SkewRepo
     return SkewReport(ok=max_defect <= TOL_SKEW, max_defect=max_defect)
 
 
-def obstruction_report(
-    L: LieAlgebraSpec, g: InnerProduct, X: np.ndarray
-) -> ObstructionReport:
+def obstruction_report(geom: HomogeneousGeometry, X: np.ndarray) -> ObstructionReport:
     """Aggregate Berwald admissibility of a candidate drift vector."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (L.dim,):
-        raise InputError(f"drift vector must have length {L.dim}")
+    L, g, X = _group(geom, X)
     perfect = is_perfect(L)
     space = parallel_obstruction_space(L, g)
-    if space.shape[0]:
-        # residual of X after g-orthogonal projection onto the space
-        resid = X - space.T @ (space @ g.g @ X)
-        in_space = g.norm(resid) <= TOL_SKEW * max(1.0, g.norm(X))
-    else:
-        in_space = bool(g.norm(X) <= TOL_SKEW)
+    # residual of X after g-orthogonal projection onto the space
+    resid = X - space.T @ (space @ g.g @ X)
+    in_space = g.norm(resid) <= TOL_SKEW * max(1.0, g.norm(X))
     skew = ad_skew_check(L, g, X)
-    conn = koszul_connection(L, g)
-    nabla = np.einsum("ijk,j->ik", conn.gamma, X)  # rows: nabla_{e_i} X
+    nabla = np.einsum("ijk,j->ik", geom.connection.gamma, X)  # rows: nabla_{e_i} X
     nabla_norm = float(np.max(np.abs(nabla))) if nabla.size else 0.0
     admissible = bool(
         in_space and skew.ok and nabla_norm <= TOL_SKEW and g.norm(X) > 0
@@ -119,8 +124,7 @@ def obstruction_report(
 
 
 def sectional_along_X_sign(
-    L: LieAlgebraSpec,
-    g: InnerProduct,
+    geom: HomogeneousGeometry,
     X: np.ndarray,
     n_samples: int = 1000,
     seed: int = 0,
@@ -131,10 +135,10 @@ def sectional_along_X_sign(
     u g-orthogonal to the image [X, g].  Constructed orthogonal witnesses
     are returned alongside the sampled minimum.
     """
-    X = np.asarray(X, dtype=float)
+    L, g, X = _group(geom, X)
     if g.norm(X) == 0.0:
         raise InputError("X must be nonzero")
-    conn = koszul_connection(L, g)
+    conn = geom.connection
     rng = np.random.default_rng(seed)
     Xu = X / g.norm(X)
     min_K, max_K = np.inf, -np.inf
@@ -148,11 +152,8 @@ def sectional_along_X_sign(
         min_K = min(min_K, k)
         max_K = max(max_K, k)
     # witnesses orthogonal to the image [X, g]: K must vanish there
-    image = L.ad(X)  # rows [X, e_j]
-    _, s, vt = np.linalg.svd(image @ g.g)
-    rank = int(np.sum(s > TOL_RANK * max(1.0, s[0] if s.size else 1.0)))
     witnesses = []
-    for w in vt[rank:]:
+    for w in _null_rows(L.ad(X) @ g.g):  # L.ad(X) has rows [X, e_j]
         w = w - g.dot(Xu, w) * Xu
         nw = g.norm(w)
         if nw < 1e-10:

@@ -60,13 +60,6 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_round_floats(float(v)) for v in obj.ravel()] if obj.ndim == 1 \
-            else [_round_floats(row) for row in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(fmt(float(obj)))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
@@ -125,7 +118,7 @@ def cmd_validate(config: ProblemConfig, args) -> int:
 
     berwald_status = "not checked"
     if pair.h_dim == 0 and g.norm(data.X) > 0:
-        rep = berwald_mod.obstruction_report(L, g, data.X)
+        rep = berwald_mod.obstruction_report(geom, data.X)
         checks.append(("berwald_admissible", rep.berwald_admissible,
                        rep.nabla_X_norm, True))
         if rep.perfect and not rep.berwald_admissible:
@@ -292,14 +285,13 @@ def cmd_berwald(config: ProblemConfig, args) -> int:
             emit_table([("status", "not checked (h_dim > 0)")],
                        title=f"berwald {config.name}")
         return EXIT_OK
-    L, g = geom.algebra, geom.inner
-    rep = berwald_mod.obstruction_report(L, g, data.X)
+    rep = berwald_mod.obstruction_report(geom, data.X)
     sect = None
     if rep.berwald_admissible:
         seed = args.seed if args.seed is not None else config.options.seed
         samples = args.samples or config.options.samples
         sect = berwald_mod.sectional_along_X_sign(
-            L, g, data.X, n_samples=samples, seed=seed
+            geom, data.X, n_samples=samples, seed=seed
         )
     if args.output == "json":
         doc = {

@@ -209,12 +209,8 @@ def parse_config(path: str | Path) -> ProblemConfig:
 def structure_tensor(config: ProblemConfig) -> np.ndarray:
     """Dense antisymmetric tensor from the 1-based sparse entries."""
     c = np.zeros((config.dim, config.dim, config.dim))
-    done: set[tuple[int, int, int]] = set()
+    # config_from_dict lets a mirror entry in only with the opposite value
     for i, j, k, v in config.structure_constants:
-        canon = (i, j, k) if i < j else (j, i, k)
-        if canon in done:  # the mirrored entry was already applied
-            continue
-        done.add(canon)
         c[i - 1, j - 1, k - 1] = v
         c[j - 1, i - 1, k - 1] = -v
     return c

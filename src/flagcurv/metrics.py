@@ -6,7 +6,7 @@ orthonormalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -48,9 +48,6 @@ class BiInvariantForm:
     def dim(self) -> int:
         return self.g0.shape[0]
 
-    def dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(x @ self.g0 @ y)
-
 
 @dataclass(frozen=True)
 class MetricEndomorphism:
@@ -63,9 +60,8 @@ class MetricEndomorphism:
     phi: np.ndarray
     g0: BiInvariantForm
     h_dim: int
-    phi_inv: np.ndarray | None = None
-    phi_full: np.ndarray | None = None
-    phi_inv_full: np.ndarray | None = None
+    phi_full: np.ndarray = field(init=False)
+    phi_inv_full: np.ndarray = field(init=False)
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
@@ -89,17 +85,11 @@ class MetricEndomorphism:
                 )
         phi = phi.copy()
         phi.setflags(write=False)
-        phi_inv = np.linalg.inv(phi) if m_dim else np.zeros((0, 0))
         full = np.eye(self.g0.dim)
         full[self.h_dim:, self.h_dim:] = phi
         inv_full = np.eye(self.g0.dim)
-        inv_full[self.h_dim:, self.h_dim:] = phi_inv
-        for name, arr in (
-            ("phi", phi),
-            ("phi_inv", phi_inv),
-            ("phi_full", full),
-            ("phi_inv_full", inv_full),
-        ):
+        inv_full[self.h_dim:, self.h_dim:] = np.linalg.inv(phi)
+        for name, arr in (("phi", phi), ("phi_full", full), ("phi_inv_full", inv_full)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -187,7 +187,7 @@ def test_ac08_berwald_obstructions(capfd, su2, heisenberg, su2_plus_r):
 
         for _ in range(10):
             X = rng.normal(size=3)
-            rep = obstruction_report(su2, I3, X)
+            rep = obstruction_report(make_geometry(su2), X)
             assert rep.berwald_admissible is False
             assert rep.parallel_space.shape[0] == 0
 
@@ -198,9 +198,9 @@ def test_ac08_berwald_obstructions(capfd, su2, heisenberg, su2_plus_r):
             coeffs = rng.normal(size=2)
             X = coeffs @ space
             assert not ad_skew_check(heisenberg, I3, X).ok
-            assert not obstruction_report(heisenberg, I3, X).berwald_admissible
+            assert not obstruction_report(make_geometry(heisenberg), X).berwald_admissible
 
-        rep = obstruction_report(su2_plus_r, I4, 0.5 * E4[3])
+        rep = obstruction_report(make_geometry(su2_plus_r), 0.5 * E4[3])
         assert rep.berwald_admissible is True
         assert rep.nabla_X_norm <= 1e-10
 
@@ -208,7 +208,7 @@ def test_ac08_berwald_obstructions(capfd, su2, heisenberg, su2_plus_r):
 def test_ac09_flat_along_drift(capfd, su2_plus_r):
     with criterion(capfd, "AC-9"):
         rep = sectional_along_X_sign(
-            su2_plus_r, InnerProduct(np.eye(4)), 0.5 * E4[3],
+            make_geometry(su2_plus_r), 0.5 * E4[3],
             n_samples=1000, seed=0,
         )
         assert abs(rep.min_K) <= 1e-10

@@ -6,6 +6,7 @@ from flagcurv import (
     InputError,
     ad_skew_check,
     is_perfect,
+    make_geometry,
     obstruction_report,
     parallel_obstruction_space,
     sectional_along_X_sign,
@@ -83,7 +84,7 @@ class TestAdSkew:
 
 class TestObstructionReport:
     def test_su2_rejects_any_drift(self, su2):
-        rep = obstruction_report(su2, I3, 0.3 * E3[2])
+        rep = obstruction_report(make_geometry(su2), 0.3 * E3[2])
         assert rep.perfect
         assert rep.parallel_space.shape[0] == 0
         assert not rep.in_parallel_space
@@ -91,7 +92,7 @@ class TestObstructionReport:
         assert not rep.berwald_admissible
 
     def test_heisenberg_rejects_despite_parallel_space(self, heisenberg):
-        rep = obstruction_report(heisenberg, I3, 0.4 * E3[0])
+        rep = obstruction_report(make_geometry(heisenberg), 0.4 * E3[0])
         assert not rep.perfect
         assert rep.parallel_space.shape[0] == 2
         assert rep.in_parallel_space
@@ -99,18 +100,18 @@ class TestObstructionReport:
         assert not rep.berwald_admissible
 
     def test_central_drift_admissible(self, su2_plus_r):
-        rep = obstruction_report(su2_plus_r, I4, 0.5 * E4[3])
+        rep = obstruction_report(make_geometry(su2_plus_r), 0.5 * E4[3])
         assert rep.berwald_admissible
         assert rep.nabla_X_norm <= 1e-10
 
     def test_zero_drift_not_admissible(self, su2_plus_r):
-        rep = obstruction_report(su2_plus_r, I4, np.zeros(4))
+        rep = obstruction_report(make_geometry(su2_plus_r), np.zeros(4))
         assert not rep.berwald_admissible
 
 
 class TestSectionalAlongX:
     def test_central_drift_all_zero(self, su2_plus_r):
-        rep = sectional_along_X_sign(su2_plus_r, I4, 0.5 * E4[3],
+        rep = sectional_along_X_sign(make_geometry(su2_plus_r), 0.5 * E4[3],
                                      n_samples=1000, seed=0)
         assert abs(rep.min_K) <= 1e-10
         for _, k in rep.witnesses:
@@ -120,7 +121,7 @@ class TestSectionalAlongX:
         import flagcurv
 
         L = flagcurv.LieAlgebraSpec(4, np.zeros((4, 4, 4)))
-        rep = sectional_along_X_sign(L, I4, E4[0], n_samples=100, seed=1)
+        rep = sectional_along_X_sign(make_geometry(L), E4[0], n_samples=100, seed=1)
         assert abs(rep.min_K) <= 1e-12
 
     def test_nonnegative_for_admissible(self, su2_plus_r):
@@ -128,9 +129,23 @@ class TestSectionalAlongX:
         # admissible drifts are multiples of e4; sampled K must be >= 0
         for _ in range(3):
             X = rng.uniform(0.1, 0.9) * E4[3]
-            rep = sectional_along_X_sign(su2_plus_r, I4, X, n_samples=300, seed=5)
+            rep = sectional_along_X_sign(make_geometry(su2_plus_r), X,
+                                         n_samples=300, seed=5)
             assert rep.min_K >= -1e-10
 
     def test_zero_drift_rejected(self, su2_plus_r):
         with pytest.raises(InputError):
-            sectional_along_X_sign(su2_plus_r, I4, np.zeros(4))
+            sectional_along_X_sign(make_geometry(su2_plus_r), np.zeros(4))
+
+
+@pytest.mark.parametrize("check", [obstruction_report, sectional_along_X_sign])
+def test_homogeneous_space_refused_by_name(su2, check):
+    # su(2)/u(1): the drift has the right length, m_dim = 2
+    with pytest.raises(InputError, match=r"need h_dim = 0, got h_dim = 1"):
+        check(make_geometry(su2, h_dim=1), np.array([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("check", [obstruction_report, sectional_along_X_sign])
+def test_wrong_length_drift_refused(su2, check):
+    with pytest.raises(InputError, match="drift vector must have length 3"):
+        check(make_geometry(su2), np.array([0.0, 0.5]))

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flagcurv
 from flagcurv.cli import _ryyy, build_parser, main
-from flagcurv.config import config_from_dict, parse_config
+from flagcurv.config import config_from_dict, parse_config, structure_tensor
 from flagcurv.errors import InputError
+from test_kernel import _count
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "data"
@@ -59,6 +61,12 @@ class TestParseConfig:
         assert cfg.m_dim == 2
         again = config_from_dict(cfg.to_dict())
         assert again == cfg
+
+    def test_mirror_entry_builds_the_same_tensor(self):
+        doc = {"dim": 3, "structure_constants": [[1, 2, 3, 1.0]]}
+        both = {"dim": 3, "structure_constants": [[1, 2, 3, 1.0], [2, 1, 3, -1.0]]}
+        assert np.array_equal(structure_tensor(config_from_dict(both)),
+                              structure_tensor(config_from_dict(doc)))
 
     def test_all_shipped_configs_parse(self):
         for path in sorted(CONFIGS.glob("*.json")):
@@ -213,6 +221,63 @@ class TestBerwaldCommand:
                            "--output", "json")
         assert code == 0
         assert json.loads(out)["status"] == "not checked"
+
+    def test_homogeneous_not_checked_table(self, capsys):
+        code, out, _ = run(capsys, "berwald", str(CONFIGS / "su2_u1.json"),
+                           "--output", "table")
+        assert code == 0
+        assert "not checked" in out
+
+
+class TestGate:
+    """curvature, scan and berwald refuse broken structure unless --force."""
+
+    # [e1,e2] = e3, [e1,e3] = e1: J(e1, e2, e3) = e3
+    NOT_JACOBI = {"dim": 3, "structure_constants": [[1, 2, 3, 1.0], [1, 3, 1, 1.0]],
+                  "flags": [[[1, 0, 0], [0, 1, 0]]]}
+    # h = span(e1), [e2,e3] = e1, [e3,e1] = e1: [h, m] is not in m
+    NOT_REDUCTIVE = {"dim": 3, "h_dim": 1,
+                     "structure_constants": [[2, 3, 1, 1.0], [3, 1, 1, 1.0]],
+                     "flags": [[[1, 0], [0, 1]]]}
+
+    @staticmethod
+    def write(tmp_path, doc):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize("command", ["curvature", "scan", "berwald"])
+    def test_jacobi_failure(self, capsys, tmp_path, command):
+        path = self.write(tmp_path, self.NOT_JACOBI)
+        code, _, err = run(capsys, command, path)
+        assert code == 2
+        assert "check jacobi fails" in err
+        assert run(capsys, command, path, "--force")[0] == 0
+
+    # forced, berwald reports "not checked" for any h_dim > 0
+    @pytest.mark.parametrize("command, forced", [
+        ("curvature", 3), ("scan", 3), ("berwald", 0),
+    ])
+    def test_split_that_is_not_reductive(self, capsys, tmp_path, command, forced):
+        path = self.write(tmp_path, self.NOT_REDUCTIVE)
+        code, _, err = run(capsys, command, path)
+        assert code == 2
+        assert "check reductive_ad_invariance fails" in err
+        assert run(capsys, command, path, "--force")[0] == forced
+
+    def test_curvature_without_flags(self, capsys, tmp_path):
+        doc = json.loads((CONFIGS / "su2.json").read_text())
+        doc["flags"] = []
+        code, _, err = run(capsys, "curvature", self.write(tmp_path, doc))
+        assert code == 1
+        assert "no flags" in err
+
+
+@pytest.mark.parametrize("command", ["berwald", "validate"])
+def test_command_builds_the_connection_once(monkeypatch, capsys, command):
+    koszul = _count(monkeypatch, flagcurv.riemann, "koszul_connection")
+    assert main([command, str(CONFIGS / "su2_plus_r.json"), "--output", "json"]) == 0
+    assert len(koszul) == 1
 
 
 class TestGoldenOutput:

@@ -46,6 +46,12 @@ class TestInnerFromPhi:
         with pytest.raises(ValidationError):
             MetricEndomorphism(phi=np.diag([1.0, -2.0]), g0=form, h_dim=0)
 
+    @pytest.mark.parametrize("name", ["phi_inv", "phi_full", "phi_inv_full"])
+    def test_derived_matrices_are_not_arguments(self, name):
+        form = BiInvariantForm(np.eye(2))
+        with pytest.raises(TypeError):
+            MetricEndomorphism(phi=np.eye(2), g0=form, h_dim=0, **{name: np.eye(2)})
+
     def test_spd_output_random(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
