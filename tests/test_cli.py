@@ -292,6 +292,15 @@ class TestGoldenOutput:
                   "--output", "json")
         assert got[:2] == (code, (GOLDEN / f"validate_{name}.json").read_text())
 
+    # Each fails a hypothesis check with a nonzero defect: jacobi (1),
+    # both reductive rows (1), g0_bi_invariance (2), ad_h_invariance (0.3)
+    # and naturally_reductive (2) between them.
+    @pytest.mark.parametrize("name", ["not_jacobi", "not_reductive", "s2_r_coupled"])
+    def test_validate_failing_input(self, capsys, name):
+        got = run(capsys, "validate", str(GOLDEN / f"input_{name}.json"),
+                  "--output", "json")
+        assert got[:2] == (2, (GOLDEN / f"validate_{name}.json").read_text())
+
     @pytest.mark.parametrize("name", ["su2_plus_r", "heisenberg"])
     def test_forced_curvature(self, capsys, name):
         got = run(capsys, "curvature", str(CONFIGS / f"{name}.json"),
