@@ -14,6 +14,7 @@ from flagcurv import (
     orthonormalize_flag,
     puttmann_URYY,
     puttmann_XRYY,
+    sample_flag,
     scan_flags,
     sectional,
 )
@@ -282,3 +283,22 @@ class TestScan:
         b = scan_flags(geom, d, n_samples=50, seed=42)
         assert a.min_K == b.min_K and a.max_K == b.max_K and a.mean_K == b.mean_K
         assert np.array_equal(a.argmin_flag.Y, b.argmin_flag.Y)
+
+    def test_dependent_draw_is_resampled(self):
+        # the first (y, u) pair is parallel, so sample_flag draws again
+        class Draws:
+            def __init__(self, rows):
+                self.rows, self.count = rows, 0
+
+            def standard_normal(self, size):
+                self.count += 1
+                return self.rows[self.count - 1][:size]
+
+        g = InnerProduct(np.diag([1.0, 2.0, 3.0]))
+        rows = [np.array([1.0, 2.0, 3.0]), np.array([2.0, 4.0, 6.0]),
+                np.array([0.5, -1.0, 0.2]), np.array([0.3, 0.4, -1.5])]
+        rng = Draws(rows)
+        flag = sample_flag(g, rng)
+        want = orthonormalize_flag(g, g.inv_sqrt @ rows[2], g.inv_sqrt @ rows[3])
+        assert rng.count == 4
+        assert np.array_equal(flag.Y, want.Y) and np.array_equal(flag.U, want.U)

@@ -7,6 +7,7 @@ reductive curvature and the Levi-Civita oracle (the Koszul formula on
 constants.
 """
 
+import re
 import sys
 import tracemalloc
 
@@ -290,13 +291,37 @@ def test_naturally_reductive_refuses_a_metric_that_is_not_ad_h_invariant():
     assert rep.oracle_URYY is None and rep.sign_mismatch is None
 
 
+def _not_naturally_reductive():
+    # S^2 x R x SU(2) with a left-invariant, not bi-invariant, metric on SU(2)
+    c = direct_sum(sphere_tensor(2), su2_tensor())
+    return make_geometry(LieAlgebraSpec(7, c), h_dim=1,
+                         phi=np.diag([1.5, 1.5, 0.7, 1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("run", ["flag_curvature", "scan_flags"])
+@pytest.mark.parametrize("geom, method, text", [
+    pytest.param(make_geometry(LieAlgebraSpec(3, su2_tensor()), h_dim=1), "bi-invariant",
+                 "bi-invariant method needs trivial isotropy", id="isotropy"),
+    pytest.param(make_geometry(LieAlgebraSpec(3, su2_tensor()), phi=np.diag([1.0, 1.0, 4.0])),
+                 "bi-invariant", "metric is not bi-invariant (defect 3)", id="bi-invariant"),
+    pytest.param(_not_naturally_reductive(), "naturally-reductive",
+                 "metric is not naturally reductive (defect 2)", id="naturally-reductive"),
+])
+def test_method_refusal_texts(run, geom, method, text):
+    d = FinslerData(g=geom.inner, X=np.zeros(geom.m_dim))
+    flag = Flag(Y=np.eye(geom.m_dim)[0], U=np.eye(geom.m_dim)[1])
+    with pytest.raises(PreconditionError, match=f"^{re.escape(text)}$"):
+        if run == "flag_curvature":
+            flag_curvature(geom, d, flag, method=method)
+        else:
+            scan_flags(geom, d, n_samples=5, seed=0, method=method)
+
+
 def test_general_oracle_on_an_invariant_metric_that_is_not_naturally_reductive():
     # S^2 x R x SU(2) with a left-invariant, not bi-invariant, metric on
     # SU(2): ad(h)-invariant, not naturally reductive.  g0 = I is
     # bi-invariant, so the closed forms must agree with the oracle.
-    c = direct_sum(sphere_tensor(2), su2_tensor())
-    geom = make_geometry(LieAlgebraSpec(7, c), h_dim=1,
-                         phi=np.diag([1.5, 1.5, 0.7, 1.0, 2.0, 3.0]))
+    geom = _not_naturally_reductive()
     assert geom.ad_h_invariance.ok and not geom.naturally_reductive.ok
     d = FinslerData(g=geom.inner, X=np.zeros(6))
     rng = np.random.default_rng(3)
