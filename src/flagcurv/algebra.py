@@ -105,6 +105,8 @@ class ReductiveReport:
     subalgebra_ok: bool
     ad_invariant_ok: bool
     max_defect: float
+    subalgebra_defect: float  # max |[h, h]_m|
+    ad_invariant_defect: float  # max |[h, m]_h|
 
 
 def bracket(L: LieAlgebraSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -181,4 +183,6 @@ def check_reductive(L: LieAlgebraSpec, R: ReductivePair) -> ReductiveReport:
         subalgebra_ok=sub_defect <= TOL_JACOBI,
         ad_invariant_ok=ad_defect <= TOL_JACOBI,
         max_defect=max(sub_defect, ad_defect),
+        subalgebra_defect=sub_defect,
+        ad_invariant_defect=ad_defect,
     )

@@ -93,8 +93,8 @@ def _structure_checks(geom) -> list[tuple[str, bool, float, bool]]:
     red = check_reductive(geom.algebra, geom.pair)
     return [
         ("jacobi", jd <= TOL_JACOBI, jd, True),
-        ("reductive_subalgebra", red.subalgebra_ok, red.max_defect, True),
-        ("reductive_ad_invariance", red.ad_invariant_ok, red.max_defect, True),
+        ("reductive_subalgebra", red.subalgebra_ok, red.subalgebra_defect, True),
+        ("reductive_ad_invariance", red.ad_invariant_ok, red.ad_invariant_defect, True),
     ]
 
 
