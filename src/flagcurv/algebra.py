@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import InputError
 
-TOL_JACOBI = 1e-9
+# Largest defect at which a hypothesis check holds: Jacobi identity,
+# reductive split, symmetric or invariant metric, parallel drift.
+TOL_HYPOTHESIS = 1e-9
 TOL_RANK = 1e-10
 
 
@@ -172,7 +174,7 @@ def project(R: ReductivePair, x: np.ndarray, part: str) -> np.ndarray:
 
 
 def check_reductive(L: LieAlgebraSpec, R: ReductivePair) -> ReductiveReport:
-    """Verify [h, h] <= h and [h, m] <= m within TOL_JACOBI."""
+    """Verify [h, h] <= h and [h, m] <= m within TOL_HYPOTHESIS."""
     if R.dim != L.dim:
         raise InputError("reductive pair dimension does not match algebra")
     h, n = R.h_dim, L.dim
@@ -180,8 +182,8 @@ def check_reductive(L: LieAlgebraSpec, R: ReductivePair) -> ReductiveReport:
     sub_defect = float(np.max(np.abs(L.c[:h, :h, h:]))) if h and n > h else 0.0
     ad_defect = float(np.max(np.abs(L.c[:h, h:, :h]))) if h and n > h else 0.0
     return ReductiveReport(
-        subalgebra_ok=sub_defect <= TOL_JACOBI,
-        ad_invariant_ok=ad_defect <= TOL_JACOBI,
+        subalgebra_ok=sub_defect <= TOL_HYPOTHESIS,
+        ad_invariant_ok=ad_defect <= TOL_HYPOTHESIS,
         max_defect=max(sub_defect, ad_defect),
         subalgebra_defect=sub_defect,
         ad_invariant_defect=ad_defect,

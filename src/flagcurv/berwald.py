@@ -14,19 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, derived_subalgebra, TOL_RANK
+from .algebra import TOL_HYPOTHESIS, TOL_RANK, LieAlgebraSpec, derived_subalgebra
 from .errors import InputError
 from .geometry import HomogeneousGeometry
-from .metrics import InnerProduct
+from .metrics import CheckReport, InnerProduct, _skew_check
 from .riemann import sectional
-
-TOL_SKEW = 1e-9
-
-
-@dataclass(frozen=True)
-class SkewReport:
-    ok: bool
-    max_defect: float
 
 
 @dataclass(frozen=True)
@@ -79,41 +71,42 @@ def parallel_obstruction_space(L: LieAlgebraSpec, g: InnerProduct) -> np.ndarray
     """
     if g.dim != L.dim:
         raise InputError("metric must live on the full algebra (h_dim = 0)")
-    # null space of the map x -> (g(x, d_i))_i over the rows d_i of [g, g]
-    candidates = _null_rows(derived_subalgebra(L) @ g.g)
+    return _orthogonal_complement(derived_subalgebra(L), g)
+
+
+def _orthogonal_complement(derived: np.ndarray, g: InnerProduct) -> np.ndarray:
+    """g-orthonormal basis (rows) of the g-orthogonal complement of derived."""
+    # null space of the map x -> (g(x, d_i))_i over the rows d_i
+    candidates = _null_rows(derived @ g.g)
     # g-orthonormalize the spanning set (small: eigendecompose the Gram matrix)
     gram = candidates @ g.g @ candidates.T
     w, v = np.linalg.eigh(gram)
     return (v / np.sqrt(w)).T @ candidates
 
 
-def ad_skew_check(L: LieAlgebraSpec, g: InnerProduct, X: np.ndarray) -> SkewReport:
+def ad_skew_check(L: LieAlgebraSpec, g: InnerProduct, X: np.ndarray) -> CheckReport:
     """Defect of <[X,u],v> + <u,[X,v]> = 0 over all basis pairs."""
     if g.dim != L.dim:
         raise InputError("metric must live on the full algebra (h_dim = 0)")
-    X = np.asarray(X, dtype=float)
-    A = L.ad(X)  # A[j,:] = [X, e_j]
-    D = A @ g.g + g.g @ A.T
-    max_defect = float(np.max(np.abs(D))) if D.size else 0.0
-    return SkewReport(ok=max_defect <= TOL_SKEW, max_defect=max_defect)
+    return _skew_check(L.ad(np.asarray(X, dtype=float))[None], g.g)
 
 
 def obstruction_report(geom: HomogeneousGeometry, X: np.ndarray) -> ObstructionReport:
     """Aggregate Berwald admissibility of a candidate drift vector."""
     L, g, X = _group(geom, X)
-    perfect = is_perfect(L)
-    space = parallel_obstruction_space(L, g)
+    derived = derived_subalgebra(L)
+    space = _orthogonal_complement(derived, g)
     # residual of X after g-orthogonal projection onto the space
     resid = X - space.T @ (space @ g.g @ X)
-    in_space = g.norm(resid) <= TOL_SKEW * max(1.0, g.norm(X))
+    in_space = g.norm(resid) <= TOL_HYPOTHESIS * max(1.0, g.norm(X))
     skew = ad_skew_check(L, g, X)
     nabla = np.einsum("ijk,j->ik", geom.connection.gamma, X)  # rows: nabla_{e_i} X
     nabla_norm = float(np.max(np.abs(nabla))) if nabla.size else 0.0
     admissible = bool(
-        in_space and skew.ok and nabla_norm <= TOL_SKEW and g.norm(X) > 0
+        in_space and skew.ok and nabla_norm <= TOL_HYPOTHESIS and g.norm(X) > 0
     )
     return ObstructionReport(
-        perfect=perfect,
+        perfect=derived.shape[0] == L.dim,
         parallel_space=space,
         in_parallel_space=in_space,
         ad_skew_ok=skew.ok,

@@ -52,7 +52,6 @@ class FinslerData:
 class FinslerReport:
     ok: bool
     norm_X: float
-    margin: float
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class IdentityReport:
 def validate_finsler(d: FinslerData) -> FinslerReport:
     """F is a Finsler metric iff |X|_g < 1 (strict)."""
     n = d.norm_X
-    return FinslerReport(ok=n < 1.0 - TOL_BOUNDARY, norm_X=n, margin=1.0 - n)
+    return FinslerReport(ok=n < 1.0 - TOL_BOUNDARY, norm_X=n)
 
 
 def F_eval(d: FinslerData, y: np.ndarray) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import LieAlgebraSpec
 from .errors import FlagError, InputError, PreconditionError
-from .finsler import FinslerData, g_Y_closed, g_Y_fd, validate_finsler
+from .finsler import FinslerData, IdentityReport, g_Y_closed, g_Y_fd, validate_finsler
 from .geometry import HomogeneousGeometry, make_geometry
 from .metrics import Flag, InnerProduct, orthonormalize_flag
 from .riemann import _nat_reductive_RUYY, _require_reductive, curvature_oracle
@@ -67,13 +67,6 @@ class ScanSummary:
     argmax_flag: Flag
 
 
-@dataclass(frozen=True)
-class NumeratorReport:
-    lhs: float
-    rhs: float
-    defect: float
-
-
 def _check_convention(convention: str) -> None:
     if convention not in CONVENTIONS:
         raise InputError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
@@ -92,6 +85,15 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+# The geometry reports each method needs, with the words of its refusal.
+_NEEDS = {
+    "general": (),
+    "naturally-reductive": (("ad_h_invariance", "ad(h)-invariant"),
+                            ("naturally_reductive", "naturally reductive")),
+    "bi-invariant": (("bi_invariance", "bi-invariant"),),
+}
+
+
 class _Kernel:
     """The contractions <X,R(U,Y)Y> and <R(U,Y)Y,U> of one geometry, drift,
     method and convention, on a stack of flags at once.
@@ -105,17 +107,12 @@ class _Kernel:
     def __init__(
         self, geom: HomogeneousGeometry, X: np.ndarray, method: str, convention: str
     ):
-        _require_reductive(geom.algebra, geom.pair)
-        if method == "bi-invariant":
-            if geom.pair.h_dim != 0:
-                raise PreconditionError("bi-invariant method needs trivial isotropy")
-            checks = (("bi-invariant", geom.bi_invariance),)
-        elif method == "naturally-reductive":
-            checks = (("ad(h)-invariant", geom.ad_h_invariance),
-                      ("naturally reductive", geom.naturally_reductive))
-        else:
-            checks = ()
-        for name, rep in checks:
+        _require_reductive(geom.reductive)
+        if method == "bi-invariant" and geom.pair.h_dim != 0:
+            # the metric on m alone cannot be bi-invariant on the algebra
+            raise PreconditionError("bi-invariant method needs trivial isotropy")
+        for attr, name in _NEEDS[method]:
+            rep = getattr(geom, attr)
             if not rep.ok:
                 raise PreconditionError(
                     f"metric is not {name} (defect {rep.max_defect:g})"
@@ -329,7 +326,7 @@ def numerator_identity_check(
     flag: Flag,
     Ruyy: np.ndarray,
     gy_source: str = "closed",
-) -> NumeratorReport:
+) -> IdentityReport:
     """Compare g_Y(R(U,Y)Y, U) with its expansion in metric contractions.
 
     rhs = (1+<X,Y>)^2 {2 <X,U> <Y,R> (1 - 2<X,Y>) + 6 <X,R> <X,U>
@@ -351,7 +348,7 @@ def numerator_identity_check(
         + 6.0 * g.dot(d.X, Ruyy) * XU
         + g.dot(Ruyy, U) * (1.0 - XY**2)
     )
-    return NumeratorReport(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
+    return IdentityReport(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
 
 def sample_flag(g: InnerProduct, rng: np.random.Generator) -> Flag:

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, ReductivePair
+from .algebra import LieAlgebraSpec, ReductivePair, ReductiveReport, check_reductive
 from .errors import InputError
 from .metrics import (
     BiInvariantForm,
@@ -60,6 +60,11 @@ class HomogeneousGeometry:
         """Levi-Civita connection as the Nomizu map on m, for any isotropy;
         it is the metric's connection where ad_h_invariance holds."""
         return koszul_connection(self.algebra, self.inner)
+
+    @cached_property
+    def reductive(self) -> ReductiveReport:
+        """Whether the split g = h + m is reductive; every method needs it."""
+        return check_reductive(self.algebra, self.pair)
 
     @cached_property
     def ad_h_invariance(self) -> CheckReport:

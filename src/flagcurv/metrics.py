@@ -11,10 +11,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, ReductivePair
+from .algebra import TOL_HYPOTHESIS, LieAlgebraSpec, ReductivePair
 from .errors import FlagError, InputError, ValidationError
 
-TOL_METRIC = 1e-9
 TOL_DEP = 1e-12
 
 
@@ -72,7 +71,7 @@ class MetricEndomorphism:
             )
         g0m = self.g0.g0[self.h_dim:, self.h_dim:]
         sym_defect = float(np.max(np.abs(g0m @ phi - phi.T @ g0m))) if m_dim else 0.0
-        if sym_defect > TOL_METRIC:
+        if sym_defect > TOL_HYPOTHESIS:
             raise ValidationError(
                 f"phi is not self-adjoint w.r.t. g0 (defect {sym_defect:g})"
             )
@@ -105,7 +104,7 @@ class InnerProduct:
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InputError(f"metric must be square, got shape {g.shape}")
         sym_defect = float(np.max(np.abs(g - g.T))) if g.size else 0.0
-        if sym_defect > TOL_METRIC:
+        if sym_defect > TOL_HYPOTHESIS:
             raise ValidationError(f"metric is not symmetric (defect {sym_defect:g})")
         g = 0.5 * (g + g.T)
         if g.size:
@@ -156,14 +155,21 @@ def inner_from_phi(g0: BiInvariantForm, phi: MetricEndomorphism) -> InnerProduct
     return InnerProduct(g0m @ phi.phi)
 
 
+def _skew_check(c: np.ndarray, g: np.ndarray) -> CheckReport:
+    """max |<[z,x],y> + <x,[z,y]>| over basis vectors z, x, y, where
+    c[z, x, :] = [z, x] in the coordinates of the space g lives on: each
+    ad(z) must be g-skew-adjoint."""
+    d = np.einsum("zxa,ay->zxy", c, g) + np.einsum("zya,xa->zxy", c, g)
+    max_defect = float(np.max(np.abs(d))) if d.size else 0.0
+    return CheckReport(ok=max_defect <= TOL_HYPOTHESIS, max_defect=max_defect)
+
+
 def check_bi_invariance(L: LieAlgebraSpec, g0: np.ndarray) -> CheckReport:
     """Defect of <[z,x],y>_0 + <x,[z,y]>_0 = 0 over all basis triples."""
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (L.dim, L.dim):
         raise InputError("g0 shape does not match algebra dimension")
-    d = np.einsum("zxa,ay->zxy", L.c, g0) + np.einsum("zya,xa->zxy", L.c, g0)
-    max_defect = float(np.max(np.abs(d))) if d.size else 0.0
-    return CheckReport(ok=max_defect <= TOL_METRIC, max_defect=max_defect)
+    return _skew_check(L.c, g0)
 
 
 def check_ad_h_invariance(
@@ -172,10 +178,7 @@ def check_ad_h_invariance(
     """Defect of <[z,x]_m, y> + <x, [z,y]_m> = 0 for z in h, x, y in m."""
     _check_m_metric(L, R, g)
     h = R.h_dim
-    cm = L.c[:h, h:, h:]  # [h-basis, m-basis]_m in m-coordinates
-    d = np.einsum("zxa,ay->zxy", cm, g.g) + np.einsum("zya,xa->zxy", cm, g.g)
-    max_defect = float(np.max(np.abs(d))) if d.size else 0.0
-    return CheckReport(ok=max_defect <= TOL_METRIC, max_defect=max_defect)
+    return _skew_check(L.c[:h, h:, h:], g.g)
 
 
 def check_naturally_reductive(
@@ -184,10 +187,7 @@ def check_naturally_reductive(
     """Defect of <x, [z,y]_m> + <[z,x]_m, y> = 0 for x, y, z in m."""
     _check_m_metric(L, R, g)
     h = R.h_dim
-    cm = L.c[h:, h:, h:]  # [m-basis, m-basis]_m in m-coordinates
-    d = np.einsum("xa,zya->zxy", g.g, cm) + np.einsum("zxa,ay->zxy", cm, g.g)
-    max_defect = float(np.max(np.abs(d))) if d.size else 0.0
-    return CheckReport(ok=max_defect <= TOL_METRIC, max_defect=max_defect)
+    return _skew_check(L.c[h:, h:, h:], g.g)
 
 
 def orthonormalize_flag(

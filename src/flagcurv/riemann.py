@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, ReductivePair, check_reductive
+from .algebra import LieAlgebraSpec, ReductivePair, ReductiveReport, check_reductive
 from .errors import FlagError, InputError, PreconditionError
 from .metrics import InnerProduct, check_naturally_reductive
 
@@ -49,7 +49,7 @@ def koszul_connection(L: LieAlgebraSpec, g: InnerProduct) -> ConnectionTable:
     h = L.dim - g.dim
     if h < 0:
         raise InputError(f"metric dimension {g.dim} exceeds algebra dimension {L.dim}")
-    _require_reductive(L, ReductivePair(dim=L.dim, h_dim=h))
+    _require_reductive(check_reductive(L, ReductivePair(dim=L.dim, h_dim=h)))
     c, gm = L.c[h:, h:, h:], g.g
     # rhs[i,j,k] = <[e_i,e_j]_m,e_k> - <[e_j,e_k]_m,e_i> + <[e_k,e_i]_m,e_j>
     bg = np.einsum("ija,ak->ijk", c, gm)  # <[e_i,e_j]_m,e_k>
@@ -90,7 +90,7 @@ def nat_reductive_R(
     reductivity is verified first.  The split must be reductive, so that
     the h-bracket term lands in m; this is asserted, not silently projected.
     """
-    _require_reductive(L, R)
+    _require_reductive(check_reductive(L, R))
     if g is not None:
         rep = check_naturally_reductive(L, R, g)
         if not rep.ok:
@@ -102,8 +102,7 @@ def nat_reductive_R(
     return _nat_reductive_RUYY(L, yf[None], uf[None], R.h_dim)[0]
 
 
-def _require_reductive(L: LieAlgebraSpec, R: ReductivePair) -> None:
-    rep = check_reductive(L, R)
+def _require_reductive(rep: ReductiveReport) -> None:
     if not (rep.subalgebra_ok and rep.ad_invariant_ok):
         raise PreconditionError(
             "the split is not reductive: [h, m] has an h-component or [h, h] "

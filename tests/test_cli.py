@@ -280,6 +280,13 @@ def test_command_builds_the_connection_once(monkeypatch, capsys, command):
     assert len(koszul) == 1
 
 
+@pytest.mark.parametrize("command", ["berwald", "validate"])
+def test_command_computes_the_derived_subalgebra_once(monkeypatch, capsys, command):
+    derived = _count(monkeypatch, flagcurv.algebra, "derived_subalgebra")
+    assert main([command, str(CONFIGS / "su2_plus_r.json"), "--output", "json"]) == 0
+    assert len(derived) == 1
+
+
 class TestGoldenOutput:
     """stdout and exit code match bytes recorded from an earlier release."""
 

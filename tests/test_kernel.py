@@ -402,6 +402,18 @@ def test_connection_is_cached_per_geometry(monkeypatch):
     assert len(koszul) == 1
 
 
+def test_reductive_split_is_checked_once_per_geometry(monkeypatch, su2_u1):
+    reductive = _count(monkeypatch, flagcurv.algebra, "check_reductive")
+    geom = make_geometry(su2_u1, h_dim=1)
+    d = FinslerData(g=geom.inner, X=np.zeros(2))
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        flag_curvature(geom, d, sample_flag(geom.inner, rng), method="naturally-reductive")
+    assert len(reductive) == 1
+    geom.connection  # koszul_connection keeps its own guard
+    assert len(reductive) == 2
+
+
 # --- the stacked kernel and the blocked scan ---------------------------------
 
 @settings(max_examples=15, deadline=None)
