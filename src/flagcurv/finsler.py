@@ -1,11 +1,12 @@
 """The metric F = (alpha + beta)^2 / alpha and its fundamental tensor.
 
 alpha(y) = sqrt(<y,y>) and beta(y) = <X,y> for a drift vector X with
-|X|_g < 1.  The fundamental tensor g_Y is computed two independent ways:
-a closed-form expansion (kept term-by-term in its four printed blocks,
-then symmetrized in (u, v) -- the raw block sum carries a purely
-antisymmetric artifact that the symmetrization removes), and a
-central-difference Hessian of F^2 / 2 that serves as the oracle.
+|X|_g < 1, so F = alpha phi(beta/alpha) is an (alpha, beta)-metric with
+phi(s) = (1+s)^2.  Its fundamental tensor g_Y is computed two independent
+ways: the (alpha, beta)-metric formula, one symmetric matrix in four terms
+(Chern-Shen, Riemann-Finsler Geometry, 2005; Shen, Lectures on Finsler
+Geometry, 2001), and a central-difference Hessian of F^2 / 2 that serves
+as the oracle.
 """
 
 from __future__ import annotations
@@ -78,47 +79,35 @@ def F_eval(d: FinslerData, y: np.ndarray) -> float:
     return (alpha + d.g.dot(d.X, y)) ** 2 / alpha
 
 
-def _gy_blocks(
-    d: FinslerData, Y: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> tuple[float, float, float, float]:
-    """The four printed blocks of the g_Y expansion, unsymmetrized."""
-    g = d.g
-    gYY = g.dot(Y, Y)
-    r = np.sqrt(gYY)
-    gXY = g.dot(d.X, Y)
-    gXU = g.dot(d.X, u)
-    gXV = g.dot(d.X, v)
-    gYU = g.dot(Y, u)
-    gYV = g.dot(Y, v)
-    gUV = g.dot(u, v)
-    A = r + gXY
-    t1 = 4.0 * A**3 / gYY**2.5 * (gXV * gYU - gYV * gXU)
-    t2 = (
-        2.0 * A**2 / gYY
-        * (
-            gUV
-            + gXU * gXV
-            - gXY * gYV * gYU / gYY**1.5
-            + (gXU * gYV + gXY * gUV + gXV * gYU) / r
-        )
-    )
-    t3 = A**4 / gYY**3 * (4.0 * gYU * gYV - gUV * gYY)
-    t4 = (
-        4.0 * A**2 / gYY
-        * (gYV / r + gXV)
-        * (gYU / r + gXU - 2.0 * gYU / r - 2.0 * gXY * gYU / gYY)
-    )
-    return t1, t2, t3, t4
+def g_Y_matrix(d: FinslerData, Y: np.ndarray) -> np.ndarray:
+    """Fundamental tensor at Y as one symmetric matrix.
+
+    For F = alpha phi(s) with s = beta/alpha and phi(s) = (1+s)^2,
+    g_Y = rho g + rho0 b b^T + rho1 (b a_Y^T + a_Y b^T) + rho2 a_Y a_Y^T
+    with b = gX and a_Y = gY/alpha (Chern-Shen, Riemann-Finsler Geometry).
+    """
+    Y = np.asarray(Y, dtype=float)
+    alpha = d.g.norm(Y)
+    if alpha == 0.0:
+        raise InputError("g_Y is undefined at Y = 0")
+    G = d.g.g
+    a_Y = G @ Y / alpha
+    b = G @ d.X
+    s = float(b @ Y) / alpha
+    phi, dphi, ddphi = (1.0 + s) ** 2, 2.0 * (1.0 + s), 2.0
+    rho = phi * (phi - s * dphi)
+    rho0 = phi * ddphi + dphi**2
+    rho1 = -(s * rho0 - phi * dphi)
+    rho2 = -s * rho1
+    ba = np.outer(b, a_Y)
+    return (rho * G + rho0 * np.outer(b, b) + rho1 * (ba + ba.T)
+            + rho2 * np.outer(a_Y, a_Y))
 
 
 def g_Y_closed(d: FinslerData, Y: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """Closed-form g_Y(u, v), symmetrized over (u, v)."""
-    Y = np.asarray(Y, dtype=float)
+    """Closed-form g_Y(u, v) = u . g_Y_matrix(Y) . v."""
     u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if d.g.dot(Y, Y) == 0.0:
-        raise InputError("g_Y is undefined at Y = 0")
-    return 0.5 * (sum(_gy_blocks(d, Y, u, v)) + sum(_gy_blocks(d, Y, v, u)))
+    return float(u @ g_Y_matrix(d, Y) @ np.asarray(v, dtype=float))
 
 
 def g_Y_fd(
@@ -127,7 +116,6 @@ def g_Y_fd(
     u: np.ndarray,
     v: np.ndarray,
     step: float = DEFAULT_FD_STEP,
-    richardson: bool = False,
 ) -> float:
     """Central-difference 1/2 d^2/ds dt F^2(Y + s u + t v) at s = t = 0."""
     Y = np.asarray(Y, dtype=float)
@@ -153,34 +141,16 @@ def g_Y_fd(
         return (alpha + Xl @ G @ y) ** 4 / alpha2
 
     h = np.longdouble(step)
-
-    def mixed(h):
-        return 0.5 * (f2(h, h) - f2(h, -h) - f2(-h, h) + f2(-h, -h)) / (4.0 * h * h)
-
-    if richardson:
-        return float((4.0 * mixed(h / 2.0) - mixed(h)) / 3.0)
-    return float(mixed(h))
-
-
-def g_Y_matrix(d: FinslerData, Y: np.ndarray) -> np.ndarray:
-    """Full closed-form fundamental-tensor matrix at Y."""
-    n = d.g.dim
-    eye = np.eye(n)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = out[j, i] = g_Y_closed(d, Y, eye[i], eye[j])
-    return out
+    mixed = 0.5 * (f2(h, h) - f2(h, -h) - f2(-h, h) + f2(-h, -h)) / (4.0 * h * h)
+    return float(mixed)
 
 
 def denominator_identity(d: FinslerData, flag: Flag) -> IdentityReport:
     """g_Y(Y,Y) g_Y(U,U) - g_Y(U,Y)^2 vs (1+<X,Y>)^6 (2<X,U>^2 - <X,Y>^2 + 1)."""
     _require_orthonormal(d.g, flag)
     Y, U = flag.Y, flag.U
-    lhs = (
-        g_Y_closed(d, Y, Y, Y) * g_Y_closed(d, Y, U, U)
-        - g_Y_closed(d, Y, U, Y) ** 2
-    )
+    G = g_Y_matrix(d, Y)
+    lhs = float((Y @ G @ Y) * (U @ G @ U) - (U @ G @ Y) ** 2)
     XY = d.g.dot(d.X, Y)
     XU = d.g.dot(d.X, U)
     rhs = (1.0 + XY) ** 6 * (2.0 * XU**2 - XY**2 + 1.0)

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import LieAlgebraSpec, ReductivePair, ReductiveReport, check_reductive
-from .errors import InputError
+from .errors import InputError, PreconditionError
 from .metrics import (
     BiInvariantForm,
     CheckReport,
@@ -78,6 +78,11 @@ class HomogeneousGeometry:
     @cached_property
     def bi_invariance(self) -> CheckReport:
         """Bi-invariance of the metric itself; needs trivial isotropy."""
+        h = self.pair.h_dim
+        if h != 0:
+            raise PreconditionError(
+                f"metric bi-invariance needs h_dim = 0, got h_dim = {h}"
+            )
         return check_bi_invariance(self.algebra, self.inner.g)
 
 
