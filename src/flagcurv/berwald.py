@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import TOL_HYPOTHESIS, TOL_RANK, LieAlgebraSpec, derived_subalgebra
-from .errors import InputError
+from .errors import InputError, PreconditionError
 from .geometry import HomogeneousGeometry
 from .metrics import CheckReport, InnerProduct, _skew_check
 from .riemann import sectional
@@ -57,7 +57,8 @@ def _group(
 ) -> tuple[LieAlgebraSpec, InnerProduct, np.ndarray]:
     """Algebra, metric and drift of a geometry with trivial isotropy."""
     if geom.pair.h_dim:
-        raise InputError(f"Berwald checks need h_dim = 0, got h_dim = {geom.pair.h_dim}")
+        raise PreconditionError(
+            f"Berwald checks need h_dim = 0, got h_dim = {geom.pair.h_dim}")
     X = np.asarray(X, dtype=float)
     if X.shape != (geom.algebra.dim,):
         raise InputError(f"drift vector must have length {geom.algebra.dim}")
@@ -100,18 +101,15 @@ def obstruction_report(geom: HomogeneousGeometry, X: np.ndarray) -> ObstructionR
     resid = X - space.T @ (space @ g.g @ X)
     in_space = g.norm(resid) <= TOL_HYPOTHESIS * max(1.0, g.norm(X))
     skew = ad_skew_check(L, g, X)
-    nabla = np.einsum("ijk,j->ik", geom.connection.gamma, X)  # rows: nabla_{e_i} X
-    nabla_norm = float(np.max(np.abs(nabla))) if nabla.size else 0.0
-    admissible = bool(
-        in_space and skew.ok and nabla_norm <= TOL_HYPOTHESIS and g.norm(X) > 0
-    )
+    nabla = geom.drift_parallel(X)
+    admissible = bool(in_space and skew.ok and nabla.ok and g.norm(X) > 0)
     return ObstructionReport(
         perfect=derived.shape[0] == L.dim,
         parallel_space=space,
         in_parallel_space=in_space,
         ad_skew_ok=skew.ok,
         ad_skew_defect=skew.max_defect,
-        nabla_X_norm=nabla_norm,
+        nabla_X_norm=nabla.max_defect,
         berwald_admissible=admissible,
     )
 

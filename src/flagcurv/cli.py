@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import berwald as berwald_mod
 from .algebra import TOL_HYPOTHESIS, jacobi_defect
-from .config import ProblemConfig, build_problem, parse_config
+from .config import ProblemConfig, RunOptions, build_problem, parse_config
 from .errors import (
     FlagcurvError,
     InputError,
@@ -28,8 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .finsler import validate_finsler
-from .flagcurvature import CONVENTIONS, METHODS, flag_curvature, scan_flags
-from .metrics import check_bi_invariance, orthonormalize_flag
+from .flagcurvature import CONVENTIONS, METHODS, flag_curvature, hypotheses, scan_flags
+from .metrics import orthonormalize_flag, require
 
 SCHEMA_VERSION = 1
 
@@ -100,10 +101,10 @@ def _structure_checks(geom) -> list[tuple[str, bool, float, bool]]:
 
 def cmd_validate(config: ProblemConfig, args) -> int:
     geom, data, _ = build_problem(config)
-    L, pair, g = geom.algebra, geom.pair, geom.inner
+    pair, g = geom.pair, geom.inner
     checks = _structure_checks(geom)
 
-    bi = check_bi_invariance(L, geom.g0.g0)
+    bi = geom.g0_bi_invariance
     checks.append(("g0_bi_invariance", bi.ok, bi.max_defect, False))
 
     if pair.h_dim > 0:
@@ -154,21 +155,30 @@ def cmd_validate(config: ProblemConfig, args) -> int:
     return EXIT_OK if not failed_hard else EXIT_VALIDATION
 
 
-def _gate(config: ProblemConfig, args):
+def _gate(config: ProblemConfig, args, method: str | None):
+    """build_problem, then unless --force refuse broken structure or hypotheses."""
     geom, data, raw_flags = build_problem(config)
     if not args.force:
         for name, ok, defect, _ in _structure_checks(geom):
             if not ok:
                 raise ValidationError(f"check {name} fails (defect {defect:g})")
+        if method is not None:
+            require(hypotheses(geom, data.X, method))
     return geom, data, raw_flags
 
 
+def _sampling(config: ProblemConfig, args) -> RunOptions:
+    """The config's run options under --samples and --seed, held to its rules."""
+    given = {"samples": args.samples, "seed": args.seed}
+    return replace(config.options, **{k: v for k, v in given.items() if v is not None})
+
+
 def cmd_curvature(config: ProblemConfig, args) -> int:
-    geom, data, raw_flags = _gate(config, args)
-    if not raw_flags:
-        raise InputError("config has no flags; add at least one [Y, U] pair")
     convention = args.convention or config.options.sign_convention
     method = args.method or config.options.method
+    geom, data, raw_flags = _gate(config, args, method)
+    if not raw_flags:
+        raise InputError("config has no flags; add at least one [Y, U] pair")
     results = []
     for idx, (y, u) in enumerate(raw_flags):
         flag = orthonormalize_flag(geom.inner, y, u)
@@ -229,13 +239,12 @@ def cmd_curvature(config: ProblemConfig, args) -> int:
 
 
 def cmd_scan(config: ProblemConfig, args) -> int:
-    geom, data, _ = _gate(config, args)
     convention = args.convention or config.options.sign_convention
     method = args.method or config.options.method
-    samples = args.samples or config.options.samples
-    seed = args.seed if args.seed is not None else config.options.seed
+    opts = _sampling(config, args)
+    geom, data, _ = _gate(config, args, method)
     summary = scan_flags(
-        geom, data, n_samples=samples, seed=seed,
+        geom, data, n_samples=opts.samples, seed=opts.seed,
         method=method, convention=convention,
     )
     if args.output == "json":
@@ -275,7 +284,8 @@ def cmd_scan(config: ProblemConfig, args) -> int:
 
 
 def cmd_berwald(config: ProblemConfig, args) -> int:
-    geom, data, _ = _gate(config, args)
+    opts = _sampling(config, args)
+    geom, data, _ = _gate(config, args, None)
     if geom.pair.h_dim > 0:
         if args.output == "json":
             emit_json({"command": "berwald", "name": config.name,
@@ -288,10 +298,8 @@ def cmd_berwald(config: ProblemConfig, args) -> int:
     rep = berwald_mod.obstruction_report(geom, data.X)
     sect = None
     if rep.berwald_admissible:
-        seed = args.seed if args.seed is not None else config.options.seed
-        samples = args.samples or config.options.samples
         sect = berwald_mod.sectional_along_X_sign(
-            geom, data.X, n_samples=samples, seed=seed
+            geom, data.X, n_samples=opts.samples, seed=opts.seed
         )
     if args.output == "json":
         doc = {

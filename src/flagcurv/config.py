@@ -10,7 +10,7 @@ vectors span the isotropy algebra.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,15 @@ class RunOptions:
     seed: int = 0
     samples: int = 1000
 
+    def __post_init__(self):
+        _require(self.sign_convention in CONVENTIONS,
+                 f"sign_convention must be one of {CONVENTIONS}")
+        _require(self.method in METHODS, f"method must be one of {METHODS}")
+        _require(isinstance(self.seed, int) and self.seed >= 0,
+                 "seed must be a non-negative integer")
+        _require(isinstance(self.samples, int) and self.samples >= 1,
+                 "samples must be a positive integer")
+
 
 @dataclass(frozen=True)
 class ProblemConfig:
@@ -45,23 +54,6 @@ class ProblemConfig:
     @property
     def m_dim(self) -> int:
         return self.dim - self.h_dim
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "dim": self.dim,
-            "h_dim": self.h_dim,
-            "structure_constants": [list(e) for e in self.structure_constants],
-            "flags": [[list(y), list(u)] for y, u in self.flags],
-            "options": asdict(self.options),
-        }
-        if self.g0 is not None:
-            out["g0"] = [list(r) for r in self.g0]
-        if self.phi is not None:
-            out["phi"] = [list(r) for r in self.phi]
-        if self.X is not None:
-            out["X"] = list(self.X)
-        return out
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -161,16 +153,6 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     opt_known = {"sign_convention", "method", "seed", "samples"}
     for key in raw_opts:
         _require(key in opt_known, f"unknown option {key!r}")
-    convention = raw_opts.get("sign_convention", "oracle-aligned")
-    _require(convention in CONVENTIONS,
-             f"sign_convention must be one of {CONVENTIONS}")
-    method = raw_opts.get("method", "general")
-    _require(method in METHODS, f"method must be one of {METHODS}")
-    seed = raw_opts.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed must be a non-negative integer")
-    samples = raw_opts.get("samples", 1000)
-    _require(isinstance(samples, int) and samples >= 1,
-             "samples must be a positive integer")
 
     return ProblemConfig(
         name=name,
@@ -181,12 +163,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         phi=phi,
         X=X,
         flags=tuple(flags),
-        options=RunOptions(
-            sign_convention=convention,
-            method=method,
-            seed=seed,
-            samples=samples,
-        ),
+        options=RunOptions(**raw_opts),
     )
 
 

@@ -24,7 +24,7 @@ from .algebra import LieAlgebraSpec
 from .errors import FlagError, InputError, PreconditionError
 from .finsler import FinslerData, IdentityReport, g_Y_closed, g_Y_fd, validate_finsler
 from .geometry import HomogeneousGeometry, make_geometry
-from .metrics import Flag, InnerProduct, orthonormalize_flag
+from .metrics import Flag, InnerProduct, orthonormalize_flag, require
 from .riemann import _nat_reductive_RUYY, _require_reductive, curvature_oracle
 
 CONVENTIONS = ("oracle-aligned", "paper-verbatim")
@@ -86,12 +86,24 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # The geometry reports each method needs, with the words of its refusal.
+# On a group, a metric is bi-invariant exactly when it is naturally reductive.
 _NEEDS = {
     "general": (),
-    "naturally-reductive": (("ad_h_invariance", "ad(h)-invariant"),
-                            ("naturally_reductive", "naturally reductive")),
-    "bi-invariant": (("bi_invariance", "bi-invariant"),),
+    "naturally-reductive": (("ad_h_invariance", "metric is not ad(h)-invariant"),
+                            ("naturally_reductive", "metric is not naturally reductive")),
+    "bi-invariant": (("naturally_reductive", "metric is not bi-invariant"),),
 }
+
+
+def hypotheses(geom: HomogeneousGeometry, X: np.ndarray, method: str):
+    """The paper's hypotheses for method as (words of refusal, CheckReport),
+    lazily: the method's own reports, g0's bi-invariance for the general
+    closed forms, then whether X is parallel (Chern = Levi-Civita)."""
+    for attr, words in _NEEDS[method]:
+        yield words, getattr(geom, attr)
+    if method == "general":
+        yield "g0 is not bi-invariant", geom.g0_bi_invariance
+    yield "drift X is not parallel", geom.drift_parallel(X)
 
 
 class _Kernel:
@@ -111,12 +123,7 @@ class _Kernel:
         if method == "bi-invariant" and geom.pair.h_dim != 0:
             # the metric on m alone cannot be bi-invariant on the algebra
             raise PreconditionError("bi-invariant method needs trivial isotropy")
-        for attr, name in _NEEDS[method]:
-            rep = getattr(geom, attr)
-            if not rep.ok:
-                raise PreconditionError(
-                    f"metric is not {name} (defect {rep.max_defect:g})"
-                )
+        require((words, getattr(geom, attr)) for attr, words in _NEEDS[method])
         self.geom, self.method, self.sign = geom, method, _sign(convention)
         self.Xg = X @ geom.inner.g
         if method == "general":

@@ -7,8 +7,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, ReductivePair, ReductiveReport, check_reductive
-from .errors import InputError, PreconditionError
+from .algebra import (TOL_HYPOTHESIS, LieAlgebraSpec, ReductivePair, ReductiveReport,
+                      check_reductive)
+from .errors import InputError
 from .metrics import (
     BiInvariantForm,
     CheckReport,
@@ -76,14 +77,19 @@ class HomogeneousGeometry:
         return check_naturally_reductive(self.algebra, self.pair, self.inner)
 
     @cached_property
-    def bi_invariance(self) -> CheckReport:
-        """Bi-invariance of the metric itself; needs trivial isotropy."""
+    def g0_bi_invariance(self) -> CheckReport:
+        """Bi-invariance of g0 on the full algebra; the general closed forms need it."""
+        return check_bi_invariance(self.algebra, self.g0.g0)
+
+    def drift_parallel(self, X: np.ndarray) -> CheckReport:
+        """Whether the invariant field X on m is parallel (the Chern connection
+        of F is then the Levi-Civita one): max(max_i |Lambda(e_i) X|, max |[h, X]|),
+        as X must also be ad(h)-fixed to be an invariant field."""
         h = self.pair.h_dim
-        if h != 0:
-            raise PreconditionError(
-                f"metric bi-invariance needs h_dim = 0, got h_dim = {h}"
-            )
-        return check_bi_invariance(self.algebra, self.inner.g)
+        rows = np.vstack((np.einsum("ijk,j->ik", self.connection.gamma, X),
+                          np.einsum("zjk,j->zk", self.algebra.c[:h, h:, h:], X)))
+        max_defect = float(np.abs(rows).max(initial=0.0))
+        return CheckReport(ok=max_defect <= TOL_HYPOTHESIS, max_defect=max_defect)
 
 
 def make_geometry(

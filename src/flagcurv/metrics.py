@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import TOL_HYPOTHESIS, LieAlgebraSpec, ReductivePair
-from .errors import FlagError, InputError, ValidationError
+from .errors import FlagError, InputError, PreconditionError, ValidationError
 
 TOL_DEP = 1e-12
 
@@ -145,6 +145,13 @@ class Flag:
 class CheckReport:
     ok: bool
     max_defect: float
+
+
+def require(reports) -> None:
+    """Refuse (PreconditionError) at the first failing (words, CheckReport) pair."""
+    for words, rep in reports:
+        if not rep.ok:
+            raise PreconditionError(f"{words} (defect {rep.max_defect:g})")
 
 
 def inner_from_phi(g0: BiInvariantForm, phi: MetricEndomorphism) -> InnerProduct:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import LieAlgebraSpec, ReductivePair, ReductiveReport, check_reductive
 from .errors import FlagError, InputError, PreconditionError
-from .metrics import InnerProduct, check_naturally_reductive
+from .metrics import InnerProduct, check_naturally_reductive, require
 
 TOL_ORACLE = 1e-10
 
@@ -93,10 +93,7 @@ def nat_reductive_R(
     _require_reductive(check_reductive(L, R))
     if g is not None:
         rep = check_naturally_reductive(L, R, g)
-        if not rep.ok:
-            raise PreconditionError(
-                f"metric is not naturally reductive (defect {rep.max_defect:g})"
-            )
+        require([("metric is not naturally reductive", rep)])
     uf = R.embed_m(np.asarray(u, dtype=float))
     yf = R.embed_m(np.asarray(y, dtype=float))
     return _nat_reductive_RUYY(L, yf[None], uf[None], R.h_dim)[0]

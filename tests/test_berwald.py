@@ -4,6 +4,7 @@ import pytest
 from flagcurv import (
     InnerProduct,
     InputError,
+    PreconditionError,
     ad_skew_check,
     is_perfect,
     make_geometry,
@@ -108,6 +109,15 @@ class TestObstructionReport:
         rep = obstruction_report(make_geometry(su2_plus_r), np.zeros(4))
         assert not rep.berwald_admissible
 
+    def test_nabla_norm_is_the_geometry_drift_report(self, su2, heisenberg, su2_plus_r):
+        phi = np.diag([1.0, 2.0, 3.0, 0.5])
+        for geom, X in ((make_geometry(su2), 0.3 * E3[2]),
+                        (make_geometry(heisenberg), 0.4 * E3[0]),
+                        (make_geometry(su2_plus_r, phi=phi), 0.5 * E4[3]),
+                        (make_geometry(su2_plus_r, phi=phi), 0.2 * E4[0])):
+            rep = obstruction_report(geom, X)
+            assert geom.drift_parallel(X).max_defect == rep.nabla_X_norm
+
 
 class TestSectionalAlongX:
     def test_central_drift_all_zero(self, su2_plus_r):
@@ -141,7 +151,7 @@ class TestSectionalAlongX:
 @pytest.mark.parametrize("check", [obstruction_report, sectional_along_X_sign])
 def test_homogeneous_space_refused_by_name(su2, check):
     # su(2)/u(1): the drift has the right length, m_dim = 2
-    with pytest.raises(InputError, match=r"need h_dim = 0, got h_dim = 1"):
+    with pytest.raises(PreconditionError, match=r"need h_dim = 0, got h_dim = 1"):
         check(make_geometry(su2, h_dim=1), np.array([0.0, 0.5]))
 
 

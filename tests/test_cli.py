@@ -9,9 +9,11 @@ import pytest
 
 import flagcurv
 from flagcurv.cli import _ryyy, build_parser, main
-from flagcurv.config import config_from_dict, parse_config, structure_tensor
+from flagcurv.config import build_problem, config_from_dict, parse_config, structure_tensor
 from flagcurv.errors import InputError
+from flagcurv.flagcurvature import hypotheses
 from test_kernel import _count
+from conftest import heisenberg_tensor, sphere_tensor, su2_tensor
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "data"
@@ -55,12 +57,6 @@ class TestParseConfig:
         p.write_text("{not json")
         with pytest.raises(InputError, match="line 1"):
             parse_config(p)
-
-    def test_roundtrip(self):
-        cfg = parse_config(CONFIGS / "su2_u1.json")
-        assert cfg.m_dim == 2
-        again = config_from_dict(cfg.to_dict())
-        assert again == cfg
 
     def test_mirror_entry_builds_the_same_tensor(self):
         doc = {"dim": 3, "structure_constants": [[1, 2, 3, 1.0]]}
@@ -141,10 +137,9 @@ class TestCurvatureCommand:
         assert doc["flags"][0]["sign_mismatch"] is True
 
     def test_heisenberg_drift_blocked_without_force(self, capsys):
-        # X = e1/2 is not berwald-admissible, but the curvature command
-        # only gates on the Finsler condition, which holds; it must run.
+        # X = e1/2 is not parallel, so the paper's K does not hold there.
         code, out, _ = run(capsys, "curvature", str(CONFIGS / "heisenberg.json"))
-        assert code == 0
+        assert code == 3
 
     def test_naturally_reductive_refuses_a_metric_that_is_not_ad_h_invariant(
         self, capsys, tmp_path
@@ -271,6 +266,84 @@ class TestGate:
         code, _, err = run(capsys, "curvature", self.write(tmp_path, doc))
         assert code == 1
         assert "no flags" in err
+
+
+def _tensor_config(c, h_dim, X):
+    """A config of the structure tensor c with drift X and the flag (e1, e2) of m."""
+    n = len(c)
+    entries = [[i + 1, j + 1, k + 1, float(c[i, j, k])] for i in range(n)
+               for j in range(i + 1, n) for k in range(n) if c[i, j, k]]
+    m = np.eye(n - h_dim).tolist()
+    return {"dim": n, "h_dim": h_dim, "structure_constants": entries, "X": X,
+            "flags": [[m[0], m[1]]]}
+
+
+_AFFINE = np.zeros((2, 2, 2))  # [e1, e2] = e2
+_AFFINE[0, 1, 1], _AFFINE[1, 0, 1] = 1.0, -1.0
+
+
+class TestHypothesisGate:
+    """curvature and scan refuse (exit 3) outside the paper's hypotheses
+    unless --force: X parallel, and for the general method g0 bi-invariant."""
+
+    # (config, failing hypotheses in the gate's order, K printed under --force)
+    ROWS = [
+        pytest.param(_tensor_config(heisenberg_tensor(), 0, [0.5, 0.0, 0.0]),
+                     [("g0 is not bi-invariant", 1.0), ("drift X is not parallel", 0.25)],
+                     4 / 81, id="heisenberg-X=e1/2"),
+        pytest.param(_tensor_config(heisenberg_tensor(), 0, [0.0, 0.0, 0.5]),
+                     [("g0 is not bi-invariant", 1.0), ("drift X is not parallel", 0.25)],
+                     0.25, id="heisenberg-X=e3/2"),
+        pytest.param(_tensor_config(su2_tensor(), 0, [0.0, 0.0, 0.5]),
+                     [("drift X is not parallel", 0.25)], 0.25, id="su2-X=e3/2"),
+        pytest.param(_tensor_config(heisenberg_tensor(), 0, [0.0, 0.0, 0.0]),
+                     [("g0 is not bi-invariant", 1.0)], 0.25, id="heisenberg-X=0"),
+        pytest.param(_tensor_config(_AFFINE, 0, [0.3, 0.0]),
+                     [("g0 is not bi-invariant", 2.0), ("drift X is not parallel", 0.3)],
+                     0.0875319491614, id="affine-X=0.3e1"),
+        # Lambda(m)X = 0 here; the defect is the [h, X] term
+        pytest.param(_tensor_config(sphere_tensor(2), 1, [0.3, 0.0, 0.0]),
+                     [("drift X is not parallel", 0.3)], 0.350127796646,
+                     id="S2xR-X-on-sphere"),
+    ]
+
+    @pytest.mark.parametrize("doc, failing, K", ROWS)
+    def test_refused_unless_forced(self, capsys, tmp_path, doc, failing, K):
+        geom, data, _ = build_problem(config_from_dict(doc))
+        assert [(words, pytest.approx(rep.max_defect)) for words, rep
+                in hypotheses(geom, data.X, "general") if not rep.ok] == failing
+        path = TestGate.write(tmp_path, doc)
+        words, defect = failing[0]
+        for command in ("curvature", "scan"):
+            code, out, err = run(capsys, command, path, "--output", "json")
+            assert (code, out) == (3, "")
+            assert f"{words} (defect {defect:g})" in err
+        code, out, _ = run(capsys, "curvature", path, "--output", "json", "--force")
+        assert code == 0
+        assert json.loads(out)["flags"][0]["K"] == pytest.approx(K, rel=1e-11)
+        assert run(capsys, "scan", path, "--samples", "20", "--force")[0] == 0
+
+    def test_drift_on_the_line_of_s2_x_r_runs(self, capsys, tmp_path):
+        path = TestGate.write(tmp_path, _tensor_config(sphere_tensor(2), 1, [0.0, 0.0, 0.3]))
+        code, out, _ = run(capsys, "curvature", path, "--output", "json")
+        assert code == 0
+        assert json.loads(out)["flags"][0]["K"] == pytest.approx(1.0)
+        assert run(capsys, "scan", path, "--samples", "20")[0] == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["scan", "su2.json", "--samples", "0"],
+                 "samples must be a positive integer", id="scan--samples=0"),
+    pytest.param(["berwald", "su2_plus_r.json", "--samples", "-3"],
+                 "samples must be a positive integer", id="berwald--samples=-3"),
+    pytest.param(["scan", "su2.json", "--seed", "-1"],
+                 "seed must be a non-negative integer", id="scan--seed=-1"),
+])
+def test_flag_values_are_held_to_the_config_rules(capsys, argv, message):
+    command, name, *flags = argv
+    code, out, err = run(capsys, command, str(CONFIGS / name), "--output", "json", *flags)
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("command", ["berwald", "validate"])

@@ -317,13 +317,6 @@ def test_method_refusal_texts(run, geom, method, text):
             scan_flags(geom, d, n_samples=5, seed=0, method=method)
 
 
-def test_bi_invariance_report_refuses_nontrivial_isotropy():
-    geom = make_geometry(LieAlgebraSpec(3, su2_tensor()), h_dim=1)
-    with pytest.raises(PreconditionError, match="h_dim = 0, got h_dim = 1"):
-        geom.bi_invariance
-    assert make_geometry(LieAlgebraSpec(3, su2_tensor())).bi_invariance.ok
-
-
 def test_general_oracle_on_an_invariant_metric_that_is_not_naturally_reductive():
     # S^2 x R x SU(2) with a left-invariant, not bi-invariant, metric on
     # SU(2): ad(h)-invariant, not naturally reductive.  g0 = I is
