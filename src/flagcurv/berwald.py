@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import TOL_HYPOTHESIS, TOL_RANK, LieAlgebraSpec, derived_subalgebra
-from .errors import InputError, PreconditionError
+from .errors import FlagError, InputError, PreconditionError
 from .geometry import HomogeneousGeometry
 from .metrics import CheckReport, InnerProduct, _skew_check
-from .riemann import sectional
+from .riemann import TOL_ORACLE, curvature_oracle, sectional
 
 
 @dataclass(frozen=True)
@@ -130,18 +130,23 @@ def sectional_along_X_sign(
     if g.norm(X) == 0.0:
         raise InputError("X must be nonzero")
     conn = geom.connection
-    rng = np.random.default_rng(seed)
     Xu = X / g.norm(X)
-    min_K, max_K = np.inf, -np.inf
-    for _ in range(n_samples):
-        u = rng.standard_normal(L.dim)
-        u = u - g.dot(Xu, u) * Xu
-        nu = g.norm(u)
-        if nu < 1e-10:
-            continue
-        k = sectional(L, g, conn, X, u / nu)
-        min_K = min(min_K, k)
-        max_K = max(max_K, k)
+    # the loop's stream: row k is the k-th draw of n normals
+    u = np.random.default_rng(seed).standard_normal((n_samples, L.dim))
+    u -= np.outer(u @ (Xu @ g.g), Xu)
+    nu = np.sqrt(np.maximum(np.einsum("ij,ij->i", u @ g.g, u), 0.0))
+    keep = nu >= 1e-10
+    u = u[keep] / nu[keep, None]
+    # K(X, u) = <R(u,X)X, u> / (|X|^2 |u|^2 - <X,u>^2), with u -> R(u,X)X
+    # linear: its rows R(e_i,X)X come from n oracle calls
+    RXX = np.array([curvature_oracle(conn, L, e, X, X) for e in np.eye(L.dim)])
+    ug, xx = u @ g.g, g.dot(X, X)
+    uu = np.einsum("ij,ij->i", ug, u)
+    denom = xx * uu - (ug @ X) ** 2
+    if np.any(denom <= TOL_ORACLE * np.maximum(1.0, xx * uu)):
+        raise FlagError("sectional curvature needs linearly independent vectors")
+    ks = np.einsum("ij,ij->i", u @ RXX, ug) / denom
+    min_K, max_K = ks.min(initial=np.inf), ks.max(initial=-np.inf)
     # witnesses orthogonal to the image [X, g]: K must vanish there
     witnesses = []
     for w in _null_rows(L.ad(X) @ g.g):  # L.ad(X) has rows [X, e_j]

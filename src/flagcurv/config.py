@@ -31,8 +31,8 @@ class RunOptions:
 
     def __post_init__(self):
         _require(self.sign_convention in CONVENTIONS,
-                 f"sign_convention must be one of {CONVENTIONS}")
-        _require(self.method in METHODS, f"method must be one of {METHODS}")
+                 "sign_convention must be one of {}", CONVENTIONS)
+        _require(self.method in METHODS, "method must be one of {}", METHODS)
         _require(isinstance(self.seed, int) and self.seed >= 0,
                  "seed must be a non-negative integer")
         _require(isinstance(self.samples, int) and self.samples >= 1,
@@ -56,20 +56,21 @@ class ProblemConfig:
         return self.dim - self.h_dim
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:
+    """Refuse (InputError) unless cond; msg is formatted with args only then."""
     if not cond:
-        raise InputError(msg)
+        raise InputError(msg.format(*args))
 
 
 def _as_matrix(raw, rows: int, cols: int, name: str) -> tuple:
     _require(isinstance(raw, list) and len(raw) == rows,
-             f"{name} must be a {rows}x{cols} matrix")
+             "{} must be a {}x{} matrix", name, rows, cols)
     out = []
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == cols,
-                 f"{name} row {i + 1} must have {cols} entries")
+                 "{} row {} must have {} entries", name, i + 1, cols)
         _require(all(isinstance(x, (int, float)) for x in row),
-                 f"{name} row {i + 1} has a non-numeric entry")
+                 "{} row {} has a non-numeric entry", name, i + 1)
         out.append(tuple(float(x) for x in row))
     return tuple(out)
 
@@ -79,7 +80,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     known = {"name", "dim", "h_dim", "structure_constants", "g0", "phi", "X",
              "flags", "options"}
     for key in doc:
-        _require(key in known, f"unknown config field {key!r}")
+        _require(key in known, "unknown config field {!r}", key)
 
     name = doc.get("name", "unnamed")
     _require(isinstance(name, str), "name must be a string")
@@ -87,7 +88,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     _require(isinstance(dim, int) and dim >= 1, "dim must be a positive integer")
     h_dim = doc.get("h_dim", 0)
     _require(isinstance(h_dim, int) and 0 <= h_dim <= dim,
-             f"h_dim must be an integer in [0, {dim}]")
+             "h_dim must be an integer in [0, {}]", dim)
     m_dim = dim - h_dim
 
     raw_sc = doc.get("structure_constants", [])
@@ -95,29 +96,25 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     seen: dict[tuple[int, int, int], float] = {}
     entries = []
     for pos, entry in enumerate(raw_sc):
-        _require(
-            isinstance(entry, list) and len(entry) == 4,
-            f"structure_constants entry {pos + 1} must be [i, j, k, value]",
-        )
+        _require(isinstance(entry, list) and len(entry) == 4,
+                 "structure_constants entry {} must be [i, j, k, value]", pos + 1)
         i, j, k, v = entry
         _require(all(isinstance(x, int) for x in (i, j, k)),
-                 f"structure_constants entry {pos + 1}: indices must be integers")
+                 "structure_constants entry {}: indices must be integers", pos + 1)
         _require(isinstance(v, (int, float)),
-                 f"structure_constants entry {pos + 1}: value must be numeric")
+                 "structure_constants entry {}: value must be numeric", pos + 1)
         for idx in (i, j, k):
-            _require(1 <= idx <= dim,
-                     f"structure_constants entry {pos + 1}: index {idx} "
-                     f"out of range [1, {dim}]")
+            _require(1 <= idx <= dim, "structure_constants entry {}: index {} "
+                     "out of range [1, {}]", pos + 1, idx, dim)
         _require(i != j or v == 0,
-                 f"structure_constants entry {pos + 1}: [e_{i}, e_{i}] must vanish")
+                 "structure_constants entry {0}: [e_{1}, e_{1}] must vanish", pos + 1, i)
         key = (i, j, k)
         _require(key not in seen,
-                 f"structure_constants entry {pos + 1}: duplicate index triple {key}")
+                 "structure_constants entry {}: duplicate index triple {}", pos + 1, key)
         mirror = (j, i, k)
         if mirror in seen:
-            _require(seen[mirror] == -float(v),
-                     f"structure_constants entry {pos + 1}: conflicts with the "
-                     f"entry for {mirror} (antisymmetry)")
+            _require(seen[mirror] == -float(v), "structure_constants entry {}: "
+                     "conflicts with the entry for {} (antisymmetry)", pos + 1, mirror)
         seen[key] = float(v)
         entries.append((i, j, k, float(v)))
 
@@ -128,7 +125,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     if "X" in doc:
         raw_x = doc["X"]
         _require(isinstance(raw_x, list) and len(raw_x) == m_dim,
-                 f"X must be a vector of length m_dim = {m_dim}")
+                 "X must be a vector of length m_dim = {}", m_dim)
         _require(all(isinstance(x, (int, float)) for x in raw_x),
                  "X has a non-numeric entry")
         X = tuple(float(x) for x in raw_x)
@@ -138,13 +135,13 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     flags = []
     for pos, pair in enumerate(raw_flags):
         _require(isinstance(pair, list) and len(pair) == 2,
-                 f"flag {pos + 1} must be a pair [Y, U]")
+                 "flag {} must be a pair [Y, U]", pos + 1)
         vecs = []
         for which, raw_v in zip(("Y", "U"), pair):
             _require(isinstance(raw_v, list) and len(raw_v) == m_dim,
-                     f"flag {pos + 1} {which} must have length m_dim = {m_dim}")
+                     "flag {} {} must have length m_dim = {}", pos + 1, which, m_dim)
             _require(all(isinstance(x, (int, float)) for x in raw_v),
-                     f"flag {pos + 1} {which} has a non-numeric entry")
+                     "flag {} {} has a non-numeric entry", pos + 1, which)
             vecs.append(tuple(float(x) for x in raw_v))
         flags.append((vecs[0], vecs[1]))
 
@@ -152,7 +149,7 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     _require(isinstance(raw_opts, dict), "options must be an object")
     opt_known = {"sign_convention", "method", "seed", "samples"}
     for key in raw_opts:
-        _require(key in opt_known, f"unknown option {key!r}")
+        _require(key in opt_known, "unknown option {!r}", key)
 
     return ProblemConfig(
         name=name,

@@ -97,11 +97,12 @@ _NEEDS = {
 
 def hypotheses(geom: HomogeneousGeometry, X: np.ndarray, method: str):
     """The paper's hypotheses for method as (words of refusal, CheckReport),
-    lazily: the method's own reports, g0's bi-invariance for the general
-    closed forms, then whether X is parallel (Chern = Levi-Civita)."""
+    lazily: the method's own reports, for `general` an ad(h)-invariant metric
+    and a bi-invariant g0, then whether X is parallel (Chern = Levi-Civita)."""
     for attr, words in _NEEDS[method]:
         yield words, getattr(geom, attr)
     if method == "general":
+        yield "metric is not ad(h)-invariant", geom.ad_h_invariance
         yield "g0 is not bi-invariant", geom.g0_bi_invariance
     yield "drift X is not parallel", geom.drift_parallel(X)
 

@@ -165,14 +165,17 @@ def inner_from_phi(g0: BiInvariantForm, phi: MetricEndomorphism) -> InnerProduct
 def _skew_check(c: np.ndarray, g: np.ndarray) -> CheckReport:
     """max |<[z,x],y> + <x,[z,y]>| over basis vectors z, x, y, where
     c[z, x, :] = [z, x] in the coordinates of the space g lives on: each
-    ad(z) must be g-skew-adjoint."""
-    d = np.einsum("zxa,ay->zxy", c, g) + np.einsum("zya,xa->zxy", c, g)
+    ad(z) must be g-skew-adjoint.  g is symmetric, so the second term is
+    the first with x and y swapped."""
+    cg = c @ g  # <[z,x],y>
+    d = cg + cg.swapaxes(1, 2)
     max_defect = float(np.max(np.abs(d))) if d.size else 0.0
     return CheckReport(ok=max_defect <= TOL_HYPOTHESIS, max_defect=max_defect)
 
 
 def check_bi_invariance(L: LieAlgebraSpec, g0: np.ndarray) -> CheckReport:
-    """Defect of <[z,x],y>_0 + <x,[z,y]>_0 = 0 over all basis triples."""
+    """Defect of <[z,x],y>_0 + <x,[z,y]>_0 = 0 over all basis triples, for a
+    symmetric g0 (as BiInvariantForm requires)."""
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (L.dim, L.dim):
         raise InputError("g0 shape does not match algebra dimension")

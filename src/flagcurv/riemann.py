@@ -52,9 +52,9 @@ def koszul_connection(L: LieAlgebraSpec, g: InnerProduct) -> ConnectionTable:
     _require_reductive(check_reductive(L, ReductivePair(dim=L.dim, h_dim=h)))
     c, gm = L.c[h:, h:, h:], g.g
     # rhs[i,j,k] = <[e_i,e_j]_m,e_k> - <[e_j,e_k]_m,e_i> + <[e_k,e_i]_m,e_j>
-    bg = np.einsum("ija,ak->ijk", c, gm)  # <[e_i,e_j]_m,e_k>
+    bg = c @ gm  # <[e_i,e_j]_m,e_k>
     rhs = bg - np.einsum("jki->ijk", bg) + np.einsum("kij->ijk", bg)
-    gamma = 0.5 * np.einsum("ijk,kl->ijl", rhs, np.linalg.inv(gm))
+    gamma = 0.5 * (rhs @ np.linalg.inv(gm))
     gamma.setflags(write=False)
     return ConnectionTable(gamma=gamma)
 

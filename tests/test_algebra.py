@@ -162,15 +162,22 @@ def test_jacobi_zero_tensor(dim):
 
 
 def test_jacobi_memory_stays_below_one_n4_array():
-    L = LieAlgebraSpec(28, so_tensor(8))  # one dense n^4 array is 4.9 MB
-    jacobi_defect(L)
-    tracemalloc.start()
-    try:
+    # so(8) in its standard basis (168 nonzero brackets) and in a random
+    # orthonormal one, where all 378 pairs i < j have a nonzero bracket
+    Q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(28, 28)))
+    dense = change_basis(so_tensor(8), Q)
+    for c in (so_tensor(8), 0.5 * (dense - dense.swapaxes(0, 1))):
+        L = LieAlgebraSpec(28, c)  # one dense n^4 array is 4.9 MB
         jacobi_defect(L)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+        tracemalloc.start()
+        try:
+            jacobi_defect(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+    assert len(L._bracket_table[0]) == 28 * 27 // 2
+    assert jacobi_defect(L) <= 1e-12
 
 
 def test_derived_subalgebra_su2_full(su2):

@@ -10,6 +10,7 @@ from flagcurv import (
     make_geometry,
     obstruction_report,
     parallel_obstruction_space,
+    sectional,
     sectional_along_X_sign,
 )
 
@@ -142,6 +143,23 @@ class TestSectionalAlongX:
             rep = sectional_along_X_sign(make_geometry(su2_plus_r), X,
                                          n_samples=300, seed=5)
             assert rep.min_K >= -1e-10
+
+    def test_samples_match_a_per_sample_sectional_loop(self, su2_plus_r):
+        geom = make_geometry(su2_plus_r, phi=np.diag([1.0, 2.0, 3.0, 1.0]))
+        X = np.array([0.3, 0.2, 0.1, 0.4])
+        assert not geom.drift_parallel(X).ok
+        rep = sectional_along_X_sign(geom, X, n_samples=300, seed=7)
+        # the reference: one draw and one sectional call per sample
+        g, rng = geom.inner, np.random.default_rng(7)
+        Xu = X / g.norm(X)
+        ks = []
+        for _ in range(300):
+            u = rng.standard_normal(4)
+            u = u - g.dot(Xu, u) * Xu
+            ks.append(sectional(su2_plus_r, g, geom.connection, X, u / g.norm(u)))
+        assert min(ks) < 0 < max(ks)
+        assert abs(rep.min_K - min(ks)) <= 1e-12
+        assert abs(rep.max_K - max(ks)) <= 1e-12
 
     def test_zero_drift_rejected(self, su2_plus_r):
         with pytest.raises(InputError):

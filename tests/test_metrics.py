@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagcurv import (
     BiInvariantForm,
@@ -14,6 +15,8 @@ from flagcurv import (
     inner_from_phi,
     orthonormalize_flag,
 )
+from flagcurv.metrics import _skew_check
+from test_algebra import structure_tensors
 
 
 def make_metric(g0, phi, h_dim=0):
@@ -171,3 +174,33 @@ def test_g0_must_be_symmetric():
 def test_g0_must_be_positive_definite():
     with pytest.raises(ValidationError):
         BiInvariantForm(np.diag([1.0, -1.0]))
+
+
+def skew_check_reference(c, g):
+    """max |<[z,x],y> + <x,[z,y]>| as two einsum contractions."""
+    d = np.einsum("zxa,ay->zxy", c, g) + np.einsum("zya,xa->zxy", c, g)
+    return float(np.max(np.abs(d))) if d.size else 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(structure_tensors(), st.integers(0, 2**32 - 1))
+def test_skew_check_matches_einsum_formula(case, seed):
+    c, integral = case
+    n = len(c)
+    rng = np.random.default_rng(seed)
+    if integral:
+        A = rng.integers(-2, 3, size=(n, n)).astype(float)
+        g = A @ A.T + np.eye(n)
+    else:
+        A = rng.normal(size=(n, n))
+        g = A @ A.T / n + np.eye(n)
+        g = 0.5 * (g + g.T)
+    h = int(rng.integers(0, n))
+    # the whole algebra (bi-invariance) and ad(h) on m, as the checks slice c
+    for sub, gm in ((c, g), (c[:h, h:, h:], g[h:, h:])):
+        got, want = _skew_check(sub, gm).max_defect, skew_check_reference(sub, gm)
+        if integral:
+            assert got == want
+        else:
+            scale = max(1.0, float(np.max(np.abs(c))) * float(np.max(np.abs(g))))
+            assert abs(got - want) <= 1e-12 * scale
