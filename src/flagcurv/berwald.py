@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import TOL_HYPOTHESIS, TOL_RANK, LieAlgebraSpec, derived_subalgebra
-from .errors import FlagError, InputError, PreconditionError
+from .errors import InputError, PreconditionError
 from .geometry import HomogeneousGeometry
 from .metrics import CheckReport, InnerProduct, _skew_check
-from .riemann import TOL_ORACLE, curvature_oracle, sectional
+from .riemann import sectional
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,15 @@ def _null_rows(A: np.ndarray) -> np.ndarray:
     _, s, vt = np.linalg.svd(A)
     rank = int(np.sum(s > TOL_RANK * np.max(s, initial=1.0)))
     return vt[rank:]
+
+
+def _unit_orthogonal(g: InnerProduct, Xu: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The rows of v made g-orthogonal to the g-unit Xu and g-unit, dropping
+    rows left shorter than 1e-10."""
+    v = v - np.outer(v @ (Xu @ g.g), Xu)
+    nv = np.sqrt(np.maximum(np.einsum("ij,ij->i", v @ g.g, v), 0.0))
+    keep = nv >= 1e-10
+    return v[keep] / nv[keep, None]
 
 
 def _group(
@@ -129,36 +138,16 @@ def sectional_along_X_sign(
     L, g, X = _group(geom, X)
     if g.norm(X) == 0.0:
         raise InputError("X must be nonzero")
-    conn = geom.connection
     Xu = X / g.norm(X)
-    # the loop's stream: row k is the k-th draw of n normals
-    u = np.random.default_rng(seed).standard_normal((n_samples, L.dim))
-    u -= np.outer(u @ (Xu @ g.g), Xu)
-    nu = np.sqrt(np.maximum(np.einsum("ij,ij->i", u @ g.g, u), 0.0))
-    keep = nu >= 1e-10
-    u = u[keep] / nu[keep, None]
-    # K(X, u) = <R(u,X)X, u> / (|X|^2 |u|^2 - <X,u>^2), with u -> R(u,X)X
-    # linear: its rows R(e_i,X)X come from n oracle calls
-    RXX = np.array([curvature_oracle(conn, L, e, X, X) for e in np.eye(L.dim)])
-    ug, xx = u @ g.g, g.dot(X, X)
-    uu = np.einsum("ij,ij->i", ug, u)
-    denom = xx * uu - (ug @ X) ** 2
-    if np.any(denom <= TOL_ORACLE * np.maximum(1.0, xx * uu)):
-        raise FlagError("sectional curvature needs linearly independent vectors")
-    ks = np.einsum("ij,ij->i", u @ RXX, ug) / denom
-    min_K, max_K = ks.min(initial=np.inf), ks.max(initial=-np.inf)
+    # one row of n normals per sample, drawn as a per-sample loop would
+    draws = np.random.default_rng(seed).standard_normal((n_samples, L.dim))
+    u = _unit_orthogonal(g, Xu, draws)
     # witnesses orthogonal to the image [X, g]: K must vanish there
-    witnesses = []
-    for w in _null_rows(L.ad(X) @ g.g):  # L.ad(X) has rows [X, e_j]
-        w = w - g.dot(Xu, w) * Xu
-        nw = g.norm(w)
-        if nw < 1e-10:
-            continue
-        w = w / nw
-        witnesses.append((w, sectional(L, g, conn, X, w)))
+    w = _unit_orthogonal(g, Xu, _null_rows(L.ad(X) @ g.g))  # L.ad(X) has rows [X, e_j]
+    ks, kw = np.split(sectional(L, g, geom.connection, X, np.vstack([u, w])), [len(u)])
     return SectionalSignReport(
-        min_K=float(min_K) if np.isfinite(min_K) else 0.0,
-        max_K=float(max_K) if np.isfinite(max_K) else 0.0,
+        min_K=float(ks.min()) if len(ks) else 0.0,
+        max_K=float(ks.max()) if len(ks) else 0.0,
         n_samples=n_samples,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(zip(w, map(float, kw))),
     )

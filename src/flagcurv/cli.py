@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage/parse, 2 validation failure,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import replace
@@ -342,7 +341,6 @@ def cmd_berwald(config: ProblemConfig, args) -> int:
     return EXIT_OK
 
 
-@functools.cache  # one shared parser; parse_args and callers leave it as built
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="flagcurv",
@@ -378,11 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         config = parse_config(args.config)
-        # by name: the cached parser holds the functions bound when it was built
-        return globals()[f"cmd_{args.command}"](config, args)
+        return args.func(config, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -174,11 +174,13 @@ def _skew_check(c: np.ndarray, g: np.ndarray) -> CheckReport:
 
 
 def check_bi_invariance(L: LieAlgebraSpec, g0: np.ndarray) -> CheckReport:
-    """Defect of <[z,x],y>_0 + <x,[z,y]>_0 = 0 over all basis triples, for a
-    symmetric g0 (as BiInvariantForm requires)."""
+    """Defect of <[z,x],y>_0 + <x,[z,y]>_0 = 0 over all basis triples; g0
+    must be symmetric, as BiInvariantForm requires (InputError)."""
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (L.dim, L.dim):
         raise InputError("g0 shape does not match algebra dimension")
+    if not np.array_equal(g0, g0.T):
+        raise InputError("g0 is not symmetric")
     return _skew_check(L.c, g0)
 
 

@@ -124,14 +124,24 @@ def sectional(
     conn: ConnectionTable,
     x: np.ndarray,
     u: np.ndarray,
-) -> float:
-    """Sectional curvature <R(u,x)x, u> / (|x|^2 |u|^2 - <x,u>^2)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (g.dim,) or u.shape != (g.dim,):
+) -> float | np.ndarray:
+    """Sectional curvature <R(u,x)x, u> / (|x|^2 |u|^2 - <x,u>^2).
+
+    u may be an (N, n) stack, giving N values: u -> R(u,x)x is linear, so
+    min(N, n) oracle calls, on the rows or on the basis, yield every R(u,x)x.
+    """
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    us = np.atleast_2d(u)
+    if x.shape != (g.dim,) or u.ndim not in (1, 2) or us.shape[1] != g.dim:
         raise InputError(f"vectors must have length {g.dim}")
-    denom = g.dot(x, x) * g.dot(u, u) - g.dot(x, u) ** 2
-    if denom <= TOL_ORACLE * max(1.0, g.dot(x, x) * g.dot(u, u)):
+    ug, xx = us @ g.g, g.dot(x, x)
+    uu = np.einsum("ij,ij->i", ug, us)
+    denom = xx * uu - (ug @ x) ** 2
+    if np.any(denom <= TOL_ORACLE * np.maximum(1.0, xx * uu)):
         raise FlagError("sectional curvature needs linearly independent vectors")
-    r = curvature_oracle(conn, L, u, x, x)
-    return g.dot(r, u) / denom
+    basis = us if len(us) <= g.dim else np.eye(g.dim)
+    r = np.reshape([curvature_oracle(conn, L, b, x, x) for b in basis], basis.shape)
+    if basis is not us:
+        r = us @ r
+    k = np.einsum("ij,ij->i", r, ug) / denom
+    return float(k[0]) if u.ndim == 1 else k

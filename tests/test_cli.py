@@ -376,31 +376,6 @@ def test_curvature_does_its_per_problem_work_once(monkeypatch, capsys, method):
     assert [len(calls) for calls in counts] == [2 * k for k in first]
 
 
-def test_parser_is_built_once_and_keeps_no_parse_state(monkeypatch, capsys):
-    built = []
-    init = flagcurv.cli._Parser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(flagcurv.cli._Parser, "__init__", counted)
-    build_parser.cache_clear()
-    path = str(CONFIGS / "su2_plus_r.json")
-    code, out, _ = run(capsys, "scan", path, "--samples", "5", "--output", "json")
-    assert code == 0 and json.loads(out)["n_samples"] == 5
-    assert built.count("flagcurv") == 1
-    # a later call sees the config's samples, not the earlier --samples
-    code, out, _ = run(capsys, "scan", path, "--output", "json")
-    assert code == 0
-    assert json.loads(out)["n_samples"] == parse_config(path).options.samples
-    assert built.count("flagcurv") == 1
-    # and it runs the command as bound now, not as bound when it was built
-    scans = _count(monkeypatch, flagcurv.cli, "cmd_scan")
-    assert run(capsys, "scan", path, "--samples", "5")[0] == 0
-    assert len(scans) == 1
-
-
 class TestGoldenOutput:
     """stdout and exit code match bytes recorded from an earlier release."""
 

@@ -6,6 +6,7 @@ from flagcurv import (
     BiInvariantForm,
     FlagError,
     InnerProduct,
+    InputError,
     MetricEndomorphism,
     ReductivePair,
     ValidationError,
@@ -89,6 +90,13 @@ class TestBiInvariance:
         # heisenberg's tensor with indices lowered by I is not totally
         # antisymmetric, so g0 = I cannot be bi-invariant
         assert not check_bi_invariance(heisenberg, np.eye(3)).ok
+
+    def test_nonsymmetric_form_refused(self, su2):
+        # the skew check reads <x,[z,y]>_0 off <[z,y],x>_0, so g0 = g0^T
+        g0 = np.eye(3)
+        g0[0, 1] = 0.5
+        with pytest.raises(InputError, match="symmetric"):
+            check_bi_invariance(su2, g0)
 
 
 class TestAdHInvariance:

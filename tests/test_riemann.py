@@ -193,6 +193,20 @@ class TestSectional:
         with pytest.raises(FlagError):
             sectional(su2, g, conn, E3[0], 3.0 * E3[0])
 
+    @pytest.mark.parametrize("N", [0, 2, 4, 9])
+    def test_a_stack_matches_one_call_per_row(self, heisenberg, N):
+        # N <= n calls the oracle on the rows, N > n on the basis
+        rng = np.random.default_rng(N)
+        g = random_metric(rng, 3)
+        conn = koszul_connection(heisenberg, g)
+        x, us = rng.normal(size=3), rng.normal(size=(N, 3))
+        ks = sectional(heisenberg, g, conn, x, us)
+        assert ks.shape == (N,)
+        for u, k in zip(us, ks):
+            assert k == pytest.approx(sectional(heisenberg, g, conn, x, u), abs=1e-12)
+        with pytest.raises(FlagError):
+            sectional(heisenberg, g, conn, x, np.vstack([us, 2.0 * x]))
+
 
 # --- the Nomizu route on S^k x R (+ a group factor), h = so(k) -------------
 
