@@ -38,6 +38,7 @@ from .finsler import (
     g_Y_closed,
     g_Y_fd,
     g_Y_matrix,
+    numerator_identity_check,
     validate_finsler,
 )
 from .flagcurvature import (
@@ -46,7 +47,6 @@ from .flagcurvature import (
     ScanSummary,
     flag_curvature,
     flag_curvature_biinvariant,
-    numerator_identity_check,
     puttmann_URYY,
     puttmann_XRYY,
     sample_flag,

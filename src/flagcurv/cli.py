@@ -187,10 +187,7 @@ def cmd_curvature(config: ProblemConfig, args) -> int:
         )
         if normalized and args.output == "table":
             print(f"notice: flag {idx + 1} was re-orthonormalized", file=sys.stderr)
-        rep = flag_curvature(
-            geom, data, flag, method=method, convention=convention,
-            require_valid=not args.force,
-        )
+        rep = flag_curvature(geom, data, flag, method=method, convention=convention)
         results.append((idx, flag, normalized, rep))
 
     if args.output == "json":
@@ -358,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples": {"type": int},
         "--seed": {"type": int},
         "--force": {"action": "store_true",
-                    "help": "run diagnostics even when validation-level checks fail"},
+                    "help": "skip the structure and hypothesis gate (not |X|_g < 1)"},
     }
     # Each subcommand accepts only the flags its command reads.
     for name, fn, flags in (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlagError, InputError, NumericError, PreconditionError
+from .errors import InputError, NumericError, PreconditionError
 from .metrics import Flag, InnerProduct
 
 TOL_BOUNDARY = 1e-12
@@ -157,7 +157,41 @@ def denominator_identity(d: FinslerData, flag: Flag) -> IdentityReport:
     return IdentityReport(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
 
+def numerator_identity_check(
+    d: FinslerData,
+    flag: Flag,
+    Ruyy: np.ndarray,
+    gy_source: str = "closed",
+) -> IdentityReport:
+    """Compare g_Y(R(U,Y)Y, U) with its expansion in metric contractions.
+
+    rhs = (1+<X,Y>)^2 {2 <X,U> <Y,R> (1 - 2<X,Y>) + 6 <X,R> <X,U>
+    + <R,U> (1 - <X,Y>^2)}, where R is the supplied oracle vector; the
+    expansion holds for a g-orthonormal flag only.
+    """
+    g = d.g
+    _require_orthonormal(g, flag)
+    Y, U = flag.Y, flag.U
+    Ruyy = np.asarray(Ruyy, dtype=float)
+    if gy_source == "closed":
+        lhs = g_Y_closed(d, Y, Ruyy, U)
+    elif gy_source == "fd":
+        lhs = g_Y_fd(d, Y, Ruyy, U)
+    else:
+        raise InputError(f"gy_source must be 'closed' or 'fd', got {gy_source!r}")
+    XY = g.dot(d.X, Y)
+    XU = g.dot(d.X, U)
+    rhs = (1.0 + XY) ** 2 * (
+        2.0 * XU * g.dot(Y, Ruyy) * (1.0 - 2.0 * XY)
+        + 6.0 * g.dot(d.X, Ruyy) * XU
+        + g.dot(Ruyy, U) * (1.0 - XY**2)
+    )
+    return IdentityReport(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
+
+
 def _require_orthonormal(g: InnerProduct, flag: Flag) -> None:
+    if np.shape(flag.Y) != (g.dim,) or np.shape(flag.U) != (g.dim,):
+        raise InputError(f"flag vectors must have length {g.dim}")
     defect = max(
         abs(g.dot(flag.Y, flag.Y) - 1.0),
         abs(g.dot(flag.U, flag.U) - 1.0),
@@ -168,5 +202,3 @@ def _require_orthonormal(g: InnerProduct, flag: Flag) -> None:
             f"flag is not g-orthonormal (defect {defect:g}); "
             "run orthonormalize_flag first"
         )
-    if flag.Y.shape != flag.U.shape:
-        raise FlagError("flag vectors have mismatched shapes")

@@ -11,7 +11,8 @@ the bi-invariant phi = I case, to the negatives of the oracle values
 (su(2) gives -1/4 |[Y,U]|^2 where the round sphere needs +1/4).  The
 default 'oracle-aligned' convention multiplies both contractions by a
 single global sign calibrated against the Koszul oracle;
-'paper-verbatim' keeps the transcription untouched for auditing.
+'paper-verbatim' keeps the transcription untouched for auditing.  Only
+the general method has a transcription, so only it takes 'paper-verbatim'.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .algebra import LieAlgebraSpec
 from .errors import FlagError, InputError, PreconditionError
-from .finsler import FinslerData, IdentityReport, g_Y_closed, g_Y_fd, validate_finsler
+from .finsler import FinslerData, validate_finsler
 from .geometry import HomogeneousGeometry, make_geometry
 from .metrics import Flag, InnerProduct, orthonormalize_flag, require
 from .riemann import _nat_reductive_RUYY, _require_reductive, curvature_oracle
@@ -72,10 +73,6 @@ def _check_convention(convention: str) -> None:
         raise InputError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
 
 
-def _sign(convention: str) -> float:
-    return 1.0 if convention == "paper-verbatim" else ORACLE_SIGN
-
-
 # Flags per kernel call in scan_flags: spreads numpy's per-call cost, and
 # keeps the bracket temporaries small ((5 * _BLOCK, 168) arrays on so(8)).
 _BLOCK = 16
@@ -111,24 +108,40 @@ class _Kernel:
     """The contractions <X,R(U,Y)Y> and <R(U,Y)Y,U> of one geometry, drift,
     method and convention, on a stack of flags at once.
 
-    Everything that does not depend on the flag, including the method's
-    preconditions, is settled at construction.  A stack of N flags then
-    costs a fixed number of numpy calls on (N, n) arrays: its brackets come
-    from LieAlgebraSpec.brackets, no ad matrix is formed per flag.
+    The one place a curvature call is validated: everything that does not
+    depend on the flag, including the formula's domain |X|_g < 1 and the
+    method's preconditions, is settled at construction.  A stack of N flags
+    then costs a fixed number of numpy calls on (N, n) arrays: its brackets
+    come from LieAlgebraSpec.brackets, no ad matrix is formed per flag.
     """
 
     def __init__(
-        self, geom: HomogeneousGeometry, X: np.ndarray, method: str, convention: str
+        self, geom: HomogeneousGeometry, d: FinslerData, method: str, convention: str
     ):
+        _check_convention(convention)
+        if method not in METHODS:
+            raise InputError(f"method must be one of {METHODS}, got {method!r}")
+        if convention == "paper-verbatim" and method != "general":
+            raise InputError("convention 'paper-verbatim' applies to the general "
+                             f"method only, got {method!r}")
+        if d.g.dim != geom.inner.dim or not np.allclose(d.g.g, geom.inner.g):
+            raise InputError("FinslerData metric does not match the geometry")
+        rep = validate_finsler(d)
+        if not rep.ok:
+            raise PreconditionError(
+                f"drift vector fails the Finsler condition (|X|_g = {rep.norm_X:g})"
+            )
+        if geom.m_dim < 2:
+            raise FlagError("flags need m_dim >= 2")
         _require_reductive(geom.reductive)
         if method == "bi-invariant" and geom.pair.h_dim != 0:
             # the metric on m alone cannot be bi-invariant on the algebra
             raise PreconditionError("bi-invariant method needs trivial isotropy")
         require((words, getattr(geom, attr)) for attr, words in _NEEDS[method])
-        self.geom, self.method, self.sign = geom, method, _sign(convention)
-        self.Xg = X @ geom.inner.g
+        self.geom, self.method = geom, method
+        self.Xg = d.X @ geom.inner.g
         if method == "general":
-            self.closed = _ClosedForms(geom, X)
+            self.closed = _ClosedForms(geom, d.X, convention)
 
     def __call__(
         self, Y: np.ndarray, U: np.ndarray
@@ -143,8 +156,7 @@ class _Kernel:
         if self.method != "general":
             r = _nat_reductive_RUYY(geom.algebra, YU[:N], YU[N:], h)
             return r @ self.Xg, _rowdot(U @ geom.inner.g, r), r
-        XRYY, URYY = self.closed(YU)
-        return self.sign * XRYY, self.sign * URYY, None
+        return (*self.closed(YU), None)
 
     def K(self, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
         XRYY, URYY, _ = self(Y, U)
@@ -152,15 +164,17 @@ class _Kernel:
 
 
 class _ClosedForms:
-    """Paper-verbatim closed forms (<X,R(U,Y)Y>, <R(U,Y)Y,U>) for one drift X.
+    """Closed forms (<X,R(U,Y)Y>, <R(U,Y)Y,U>) for one drift X, as printed
+    and times the convention's sign.
 
     Term 2 pairs m-projections with the derived metric <.,.>; the other
     terms use <.,.>_0 on the full algebra, as printed.  Vectors are rows of
     (N, n) stacks; the drift's brackets use its ad matrices, built once.
     """
 
-    def __init__(self, geom: HomogeneousGeometry, X: np.ndarray):
+    def __init__(self, geom: HomogeneousGeometry, X: np.ndarray, convention: str):
         self.geom = geom
+        self.sign = 1.0 if convention == "paper-verbatim" else ORACLE_SIGN
         self.phi_T = geom.phi.phi_full.T
         Xf = geom.pair.embed_m(X)
         ad_X = geom.algebra.ad(Xf)
@@ -189,13 +203,13 @@ class _ClosedForms:
         yU_m_g = y_U[:, h:] @ geom.inner.g
         w = y_pY @ g0_phi_inv.T  # g0 phi^-1 [Y, phi Y]
 
-        xryy = (
+        xryy = self.sign * (
             0.25 * (_rowdot(s_g0, y_X) + _rowdot(yU_g0, x_pY - y_pX))
             + 0.75 * _rowdot(yU_m_g, y_X[:, h:])
             + 0.5 * _rowdot(u_pX + x_pU, w)
             - 0.25 * _rowdot(t_w, y_pX + x_pY)
         )
-        uryy = (
+        uryy = self.sign * (
             0.5 * _rowdot(s_g0, y_U)
             + 0.75 * _rowdot(yU_m_g, y_U[:, h:])
             + _rowdot(u_pU, w)
@@ -214,7 +228,7 @@ def puttmann_XRYY(
     """Closed-form <X, R(U,Y)Y>; all vectors in m-coordinates."""
     _check_convention(convention)
     YU = np.stack((geom.pair.embed_m(Y), geom.pair.embed_m(U)))
-    return _sign(convention) * float(_ClosedForms(geom, X)(YU)[0][0])
+    return float(_ClosedForms(geom, X, convention)(YU)[0][0])
 
 
 def puttmann_URYY(
@@ -230,8 +244,7 @@ def puttmann_URYY(
     """
     _check_convention(convention)
     YU = np.stack((geom.pair.embed_m(Y), geom.pair.embed_m(U)))
-    closed = _ClosedForms(geom, np.zeros(geom.m_dim))
-    return _sign(convention) * float(closed(YU)[1][0])
+    return float(_ClosedForms(geom, np.zeros(geom.m_dim), convention)(YU)[1][0])
 
 
 def _assemble(
@@ -243,34 +256,12 @@ def _assemble(
     return numerator, denominator, numerator / denominator
 
 
-def _check_call(
-    geom: HomogeneousGeometry,
-    d: FinslerData,
-    method: str,
-    convention: str,
-    require_valid: bool,
-) -> None:
-    _check_convention(convention)
-    if method not in METHODS:
-        raise InputError(f"method must be one of {METHODS}, got {method!r}")
-    g = geom.inner
-    if d.g.dim != g.dim or not np.allclose(d.g.g, g.g):
-        raise InputError("FinslerData metric does not match the geometry")
-    if require_valid:
-        rep = validate_finsler(d)
-        if not rep.ok:
-            raise PreconditionError(
-                f"drift vector fails the Finsler condition (|X|_g = {rep.norm_X:g})"
-            )
-
-
 def flag_curvature(
     geom: HomogeneousGeometry,
     d: FinslerData,
     flag: Flag,
     method: str = "general",
     convention: str = "oracle-aligned",
-    require_valid: bool = True,
 ) -> CurvatureReport:
     """Flag curvature of the flag spanned by (Y, U) with flagpole Y.
 
@@ -280,11 +271,11 @@ def flag_curvature(
     reports the oracle value of <R(U,Y)Y,U> from the geometry's Levi-Civita
     connection (the Nomizu map) when the metric is ad(h)-invariant.
     """
-    _check_call(geom, d, method, convention, require_valid)
+    kernel = _Kernel(geom, d, method, convention)
     g = geom.inner
     flag = orthonormalize_flag(g, flag.Y, flag.U)
     Y, U, X = flag.Y, flag.U, d.X
-    (XRYY,), (URYY,), r = _Kernel(geom, X, method, convention)(Y[None], U[None])
+    (XRYY,), (URYY,), r = kernel(Y[None], U[None])
     XRYY, URYY, r_vec = float(XRYY), float(URYY), None if r is None else r[0]
     oracle_URYY, sign_mismatch = URYY, None
     if method == "general":
@@ -322,41 +313,9 @@ def flag_curvature_biinvariant(
     """
     if g.dim != L.dim:
         raise PreconditionError("bi-invariant corollary needs trivial isotropy")
-    rep = flag_curvature(
-        make_geometry(L, g0=g.g), FinslerData(g=g, X=X), flag,
-        method="bi-invariant", require_valid=False,
-    )
+    rep = flag_curvature(make_geometry(L, g0=g.g), FinslerData(g=g, X=X), flag,
+                         method="bi-invariant")
     return replace(rep, numerator=4.0 * rep.numerator, denominator=4.0 * rep.denominator)
-
-
-def numerator_identity_check(
-    d: FinslerData,
-    flag: Flag,
-    Ruyy: np.ndarray,
-    gy_source: str = "closed",
-) -> IdentityReport:
-    """Compare g_Y(R(U,Y)Y, U) with its expansion in metric contractions.
-
-    rhs = (1+<X,Y>)^2 {2 <X,U> <Y,R> (1 - 2<X,Y>) + 6 <X,R> <X,U>
-    + <R,U> (1 - <X,Y>^2)}, where R is the supplied oracle vector.
-    """
-    g = d.g
-    Y, U = flag.Y, flag.U
-    Ruyy = np.asarray(Ruyy, dtype=float)
-    if gy_source == "closed":
-        lhs = g_Y_closed(d, Y, Ruyy, U)
-    elif gy_source == "fd":
-        lhs = g_Y_fd(d, Y, Ruyy, U)
-    else:
-        raise InputError(f"gy_source must be 'closed' or 'fd', got {gy_source!r}")
-    XY = g.dot(d.X, Y)
-    XU = g.dot(d.X, U)
-    rhs = (1.0 + XY) ** 2 * (
-        2.0 * XU * g.dot(Y, Ruyy) * (1.0 - 2.0 * XY)
-        + 6.0 * g.dot(d.X, Ruyy) * XU
-        + g.dot(Ruyy, U) * (1.0 - XY**2)
-    )
-    return IdentityReport(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
 
 def sample_flag(g: InnerProduct, rng: np.random.Generator) -> Flag:
@@ -387,12 +346,9 @@ def scan_flags(
     evaluated on blocks of _BLOCK rows.  Among flags whose K ties with the
     extreme (within 1e-12 max(1, |K|)), the first is the witness.
     """
-    if geom.m_dim < 2:
-        raise FlagError("scan needs m_dim >= 2 (no flags exist otherwise)")
     if n_samples < 1:
         raise InputError("n_samples must be positive")
-    _check_call(geom, d, method, convention, require_valid=True)
-    kernel = _Kernel(geom, d.X, method, convention)
+    kernel = _Kernel(geom, d, method, convention)
     rng = np.random.default_rng(seed)
     Y, U = np.empty((2, n_samples, geom.m_dim))
     for i in range(n_samples):

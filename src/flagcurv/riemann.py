@@ -128,7 +128,7 @@ def sectional(
     """Sectional curvature <R(u,x)x, u> / (|x|^2 |u|^2 - <x,u>^2).
 
     u may be an (N, n) stack, giving N values: u -> R(u,x)x is linear, so
-    min(N, n) oracle calls, on the rows or on the basis, yield every R(u,x)x.
+    n oracle calls on the basis build it once, and one product applies it.
     """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     us = np.atleast_2d(u)
@@ -139,9 +139,7 @@ def sectional(
     denom = xx * uu - (ug @ x) ** 2
     if np.any(denom <= TOL_ORACLE * np.maximum(1.0, xx * uu)):
         raise FlagError("sectional curvature needs linearly independent vectors")
-    basis = us if len(us) <= g.dim else np.eye(g.dim)
-    r = np.reshape([curvature_oracle(conn, L, b, x, x) for b in basis], basis.shape)
-    if basis is not us:
-        r = us @ r
-    k = np.einsum("ij,ij->i", r, ug) / denom
+    jacobi = np.reshape([curvature_oracle(conn, L, e, x, x) for e in np.eye(g.dim)],
+                        (g.dim, g.dim))
+    k = np.einsum("ij,ij->i", us @ jacobi, ug) / denom
     return float(k[0]) if u.ndim == 1 else k

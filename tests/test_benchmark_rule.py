@@ -1,9 +1,9 @@
 """The CLI gate against the benchmark's statement of the paper's hypotheses.
 
 The benchmark decides independently when the paper's K holds
-(``Reference.applicable`` in bench/reference.py).  ``curvature`` must run
-(exit 0) on every problem and method of its audit ladder where that rule
-holds, and refuse (exit 3) everywhere else.  The bench modules are only
+(``Reference.applicable`` in bench/reference.py).  ``curvature`` and ``scan``
+must run (exit 0) on every problem and method of its audit ladder where that
+rule holds, and refuse (exit 3) everywhere else.  The bench modules are only
 read here.
 """
 
@@ -39,6 +39,24 @@ def test_curvature_runs_exactly_where_the_benchmark_rule_holds(capsys, tmp_path,
         ref = reference.Reference(p.c, p.h_dim, p.phi, p.X)
         for method in METHODS:
             code = main(["curvature", str(path), "--output", "json", "--method", method])
+            capsys.readouterr()
+            expected = 0 if ref.applicable(method) else 3
+            if code != expected:
+                wrong.append((p.name, method, code, expected))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scan_runs_exactly_where_the_benchmark_rule_holds(capsys, tmp_path, seed):
+    # scan shares curvature's gate and kernel, so it must draw the same line
+    wrong = []
+    for index, p in enumerate(problems.generate("audit", seed)):
+        path = tmp_path / f"p{index:02d}.json"
+        path.write_text(json.dumps(p.to_config()))
+        ref = reference.Reference(p.c, p.h_dim, p.phi, p.X)
+        for method in METHODS:
+            code = main(["scan", str(path), "--output", "json", "--method", method,
+                         "--samples", "4"])
             capsys.readouterr()
             expected = 0 if ref.applicable(method) else 3
             if code != expected:

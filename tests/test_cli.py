@@ -328,6 +328,62 @@ class TestHypothesisGate:
         assert run(capsys, "scan", path, "--samples", "20")[0] == 0
 
 
+class TestCallDomain:
+    """--force skips the CLI's gate, never what the formula itself needs."""
+
+    @pytest.mark.parametrize("command", ["curvature", "scan"])
+    def test_force_keeps_the_finsler_condition(self, capsys, tmp_path, command):
+        doc = json.loads((CONFIGS / "su2_plus_r.json").read_text())
+        doc["X"] = [0.0, 0.0, 0.0, 1.5]
+        path = TestGate.write(tmp_path, doc)
+        for flags in ((), ("--force",)):
+            code, out, err = run(capsys, command, path, "--output", "json", *flags)
+            assert (code, out) == (3, "")
+            assert err == ("precondition error: drift vector fails the Finsler "
+                           "condition (|X|_g = 1.5)\n")
+
+    def test_convention_flips_general_and_is_refused_elsewhere(self, capsys):
+        path = str(CONFIGS / "su2.json")
+        ks = {}
+        for convention in ("oracle-aligned", "paper-verbatim"):
+            code, out, _ = run(capsys, "curvature", path, "--output", "json",
+                               "--convention", convention)
+            assert code == 0
+            ks[convention] = json.loads(out)["flags"][0]["K"]
+        assert ks == {"oracle-aligned": 0.25, "paper-verbatim": -0.25}
+        for method in ("naturally-reductive", "bi-invariant"):
+            assert run(capsys, "curvature", path, "--method", method)[0] == 0
+            for command in ("curvature", "scan"):
+                code, out, err = run(capsys, command, path, "--method", method,
+                                     "--convention", "paper-verbatim")
+                assert (code, out) == (1, "")
+                assert err == ("error: convention 'paper-verbatim' applies to the "
+                               f"general method only, got '{method}'\n")
+
+    # m_dim = 1 (a dim-1 algebra) and m_dim = 0 (su(2) with h_dim = 3): no
+    # 2-plane exists, so curvature refuses the config's flag and scan refuses
+    # to draw any; validate and berwald run.
+    DIM1 = {"dim": 1, "structure_constants": [], "X": [0.2], "flags": [[[1.0], [1.0]]]}
+    ISOTROPY_ONLY = {"dim": 3, "h_dim": 3, "X": [], "flags": [[[], []]],
+                     "structure_constants": [[1, 2, 3, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]]}
+
+    @pytest.mark.parametrize("doc", [DIM1, ISOTROPY_ONLY], ids=["m_dim=1", "h_dim=dim"])
+    @pytest.mark.parametrize("command, code, err", [
+        ("validate", 0, ""),
+        ("curvature", 3, "precondition error: flag vectors are (numerically) "
+                         "linearly dependent\n"),
+        ("scan", 3, "precondition error: flags need m_dim >= 2\n"),
+        ("berwald", 0, ""),
+    ])
+    def test_fewer_than_two_dimensions_in_m(self, capsys, tmp_path, doc, command,
+                                            code, err):
+        path = TestGate.write(tmp_path, doc)
+        for flags in ((), ("--force",)) if command != "validate" else ((),):
+            got = run(capsys, command, path, "--output", "json", *flags)
+            assert (got[0], got[2]) == (code, err)
+            assert (got[1] == "") == (code != 0)
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["scan", "su2.json", "--samples", "0"],
                  "samples must be a positive integer", id="scan--samples=0"),

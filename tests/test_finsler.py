@@ -308,3 +308,9 @@ class TestDenominatorIdentity:
         d = FinslerData(g=InnerProduct(np.eye(3)), X=np.zeros(3))
         with pytest.raises(PreconditionError):
             denominator_identity(d, Flag(Y=2.0 * E3[0], U=E3[1]))
+
+    def test_flag_of_the_wrong_length_rejected(self):
+        # the lengths are checked before any product uses them
+        d = FinslerData(g=InnerProduct(np.eye(3)), X=np.zeros(3))
+        with pytest.raises(InputError, match="^flag vectors must have length 3$"):
+            denominator_identity(d, Flag(Y=E3[0], U=np.array([0.0, 1.0])))

@@ -3,7 +3,9 @@ import pytest
 
 from flagcurv import (
     FinslerData,
+    FlagError,
     InnerProduct,
+    LieAlgebraSpec,
     PreconditionError,
     curvature_oracle,
     flag_curvature,
@@ -180,6 +182,13 @@ class TestFlagCurvature:
 
 
 class TestBiinvariantCorollary:
+    @pytest.mark.parametrize("norm", [1.0, 1.5])
+    def test_drift_outside_the_finsler_domain_rejected(self, su2_plus_r, norm):
+        g = InnerProduct(np.eye(4))
+        with pytest.raises(PreconditionError, match="Finsler condition"):
+            flag_curvature_biinvariant(su2_plus_r, g, norm * E4[3],
+                                       Flag(Y=E4[0], U=E4[1]))
+
     def test_drift_orthogonal_flag(self, su2_plus_r):
         g = InnerProduct(np.eye(4))
         rep = flag_curvature_biinvariant(
@@ -242,8 +251,34 @@ class TestNumeratorIdentity:
                 r = curvature_oracle(conn, L, flag.U, flag.Y, flag.Y)
                 assert numerator_identity_check(d, flag, r).defect < 1e-9
 
+    def test_non_orthonormal_flag_rejected(self, su2_plus_r):
+        # the expansion holds for a g-orthonormal flag only: on this flag its
+        # two sides differ by 0.00526
+        g = InnerProduct(np.eye(4))
+        d = FinslerData(g=g, X=0.5 * E4[3])
+        Y, U = np.random.default_rng(0).normal(size=(2, 4))
+        r = curvature_oracle(koszul_connection(su2_plus_r, g), su2_plus_r, U, Y, Y)
+        for source in ("closed", "fd"):
+            with pytest.raises(PreconditionError, match="not g-orthonormal"):
+                numerator_identity_check(d, Flag(Y=Y, U=U), r, gy_source=source)
+
 
 class TestScan:
+    @pytest.mark.parametrize("h_dim", [0, 3], ids=["m_dim=1", "h_dim=dim"])
+    def test_no_flags_without_two_dimensions(self, su2, h_dim):
+        # a dim-1 algebra leaves m_dim = 1; su(2) with h_dim = 3 leaves 0
+        L = su2 if h_dim else LieAlgebraSpec(1, np.zeros((1, 1, 1)))
+        geom = make_geometry(L, h_dim=h_dim)
+        d = FinslerData(g=geom.inner, X=np.zeros(geom.m_dim))
+        flag = Flag(Y=np.ones(geom.m_dim), U=np.ones(geom.m_dim))
+        for call in (
+            lambda: scan_flags(geom, d, n_samples=5, seed=0),
+            lambda: flag_curvature(geom, d, flag),
+            lambda: sample_flag(geom.inner, np.random.default_rng(0)),
+        ):
+            with pytest.raises(FlagError, match="^flags need m_dim >= 2$"):
+                call()
+
     def test_abelian_flat(self, abelian3):
         geom = make_geometry(abelian3)
         d = FinslerData(g=geom.inner, X=0.5 * E3[0])

@@ -195,7 +195,7 @@ class TestSectional:
 
     @pytest.mark.parametrize("N", [0, 2, 4, 9])
     def test_a_stack_matches_one_call_per_row(self, heisenberg, N):
-        # N <= n calls the oracle on the rows, N > n on the basis
+        # the reference calls the oracle on each row, sectional on the basis
         rng = np.random.default_rng(N)
         g = random_metric(rng, 3)
         conn = koszul_connection(heisenberg, g)
@@ -203,7 +203,10 @@ class TestSectional:
         ks = sectional(heisenberg, g, conn, x, us)
         assert ks.shape == (N,)
         for u, k in zip(us, ks):
-            assert k == pytest.approx(sectional(heisenberg, g, conn, x, u), abs=1e-12)
+            r = curvature_oracle(conn, heisenberg, u, x, x)
+            ref = g.dot(r, u) / (g.dot(x, x) * g.dot(u, u) - g.dot(x, u) ** 2)
+            assert k == pytest.approx(ref, abs=1e-12)
+            assert sectional(heisenberg, g, conn, x, u) == pytest.approx(k, abs=1e-12)
         with pytest.raises(FlagError):
             sectional(heisenberg, g, conn, x, np.vstack([us, 2.0 * x]))
 
