@@ -40,6 +40,8 @@ class LieAlgebraSpec:
             raise InputError(
                 f"structure tensor shape {c.shape} does not match dim {self.dim}"
             )
+        if not np.all(np.isfinite(c)):
+            raise InputError("structure constants must be finite")
         anti = 0.5 * (c - np.swapaxes(c, 0, 1))
         if not np.array_equal(anti, c):
             warnings.warn(
@@ -136,14 +138,17 @@ def jacobi_defect(L: LieAlgebraSpec) -> float:
     # the rows of the nonzero pairs j < k cover every triple.
     n, c = L.dim, L.c
     I, J, c_IJ = L._bracket_table
+    # Constants beyond about 1e154 overflow the products: the defect is NaN or
+    # inf, which np.maximum keeps (max() would drop a NaN), and the check fails.
     defect = 0.0
-    for s in range(0, len(I), 16):
-        rows = slice(s, s + 16)
-        i, j = I[rows], J[rows]
-        block = (c_IJ[rows] @ c.reshape(n, n * n)).reshape(-1, n, n)
-        block -= c[j] @ c[i]
-        block += c[i] @ c[j]
-        defect = max(defect, float(np.max(np.abs(block, out=block))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, len(I), 16):
+            rows = slice(s, s + 16)
+            i, j = I[rows], J[rows]
+            block = (c_IJ[rows] @ c.reshape(n, n * n)).reshape(-1, n, n)
+            block -= c[j] @ c[i]
+            block += c[i] @ c[j]
+            defect = float(np.maximum(defect, np.max(np.abs(block, out=block))))
     return defect
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import TOL_HYPOTHESIS, TOL_RANK, LieAlgebraSpec, derived_subalgebra
-from .errors import InputError, PreconditionError
+from .errors import FlagError, InputError, PreconditionError
 from .geometry import HomogeneousGeometry
 from .metrics import CheckReport, InnerProduct, _skew_check
 from .riemann import sectional
@@ -133,9 +133,14 @@ def sectional_along_X_sign(
 
     For an admissible X all samples must be >= 0; zeros occur exactly for
     u g-orthogonal to the image [X, g].  Constructed orthogonal witnesses
-    are returned alongside the sampled minimum.
+    are returned alongside the sampled minimum.  With dim < 2 no 2-plane
+    contains X, so there is no sample (FlagError).
     """
     L, g, X = _group(geom, X)
+    if L.dim < 2:
+        raise FlagError("flags need m_dim >= 2")
+    if n_samples < 1:
+        raise InputError("n_samples must be positive")
     if g.norm(X) == 0.0:
         raise InputError("X must be nonzero")
     Xu = X / g.norm(X)
@@ -146,8 +151,8 @@ def sectional_along_X_sign(
     w = _unit_orthogonal(g, Xu, _null_rows(L.ad(X) @ g.g))  # L.ad(X) has rows [X, e_j]
     ks, kw = np.split(sectional(L, g, geom.connection, X, np.vstack([u, w])), [len(u)])
     return SectionalSignReport(
-        min_K=float(ks.min()) if len(ks) else 0.0,
-        max_K=float(ks.max()) if len(ks) else 0.0,
+        min_K=float(ks.min()),
+        max_K=float(ks.max()),
         n_samples=n_samples,
         witnesses=tuple(zip(w, map(float, kw))),
     )

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .finsler import validate_finsler
-from .flagcurvature import CONVENTIONS, METHODS, flag_curvature, hypotheses, scan_flags
+from .flagcurvature import CONVENTIONS, METHODS, _Kernel, hypotheses, scan_flags
 from .metrics import orthonormalize_flag, require
 
 SCHEMA_VERSION = 1
@@ -54,9 +54,10 @@ def _ryyy(rep) -> float:
 
 
 def _round_floats(obj):
-    """Normalize every float to 12 significant digits for stable output."""
+    """Normalize every float to 12 significant digits for stable output;
+    JSON has no NaN or Infinity, so a non-finite float becomes null."""
     if isinstance(obj, float):
-        return float(fmt(obj))
+        return float(fmt(obj)) if np.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -179,15 +180,16 @@ def cmd_curvature(config: ProblemConfig, args) -> int:
     geom, data, raw_flags = _gate(config, args, method)
     if not raw_flags:
         raise InputError("config has no flags; add at least one [Y, U] pair")
+    kernel = _Kernel(geom, data, method, convention)
+    flags = [orthonormalize_flag(geom.inner, y, u) for y, u in raw_flags]
+    reps = kernel.reports(np.array([f.Y for f in flags]), np.array([f.U for f in flags]))
     results = []
-    for idx, (y, u) in enumerate(raw_flags):
-        flag = orthonormalize_flag(geom.inner, y, u)
+    for idx, ((y, u), flag, rep) in enumerate(zip(raw_flags, flags, reps)):
         normalized = not (
             np.allclose(flag.Y, y, atol=1e-10) and np.allclose(flag.U, u, atol=1e-10)
         )
         if normalized and args.output == "table":
             print(f"notice: flag {idx + 1} was re-orthonormalized", file=sys.stderr)
-        rep = flag_curvature(geom, data, flag, method=method, convention=convention)
         results.append((idx, flag, normalized, rep))
 
     if args.output == "json":
@@ -294,7 +296,7 @@ def cmd_berwald(config: ProblemConfig, args) -> int:
         return EXIT_OK
     rep = berwald_mod.obstruction_report(geom, data.X)
     sect = None
-    if rep.berwald_admissible:
+    if rep.berwald_admissible and geom.m_dim >= 2:  # else no 2-plane contains X
         sect = berwald_mod.sectional_along_X_sign(
             geom, data.X, n_samples=opts.samples, seed=opts.seed
         )
@@ -355,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples": {"type": int},
         "--seed": {"type": int},
         "--force": {"action": "store_true",
-                    "help": "skip the structure and hypothesis gate (not |X|_g < 1)"},
+                    "help": "skip the structure and hypothesis gate; what the formula "
+                            "needs (|X|_g < 1, a reductive split, the method's metric) "
+                            "is still refused"},
     }
     # Each subcommand accepts only the flags its command reads.
     for name, fn, flags in (

@@ -10,6 +10,7 @@ vectors span the isotropy algebra.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,9 +34,9 @@ class RunOptions:
         _require(self.sign_convention in CONVENTIONS,
                  "sign_convention must be one of {}", CONVENTIONS)
         _require(self.method in METHODS, "method must be one of {}", METHODS)
-        _require(isinstance(self.seed, int) and self.seed >= 0,
+        _require(_is_int(self.seed) and self.seed >= 0,
                  "seed must be a non-negative integer")
-        _require(isinstance(self.samples, int) and self.samples >= 1,
+        _require(_is_int(self.samples) and self.samples >= 1,
                  "samples must be a positive integer")
 
 
@@ -62,6 +63,16 @@ def _require(cond: bool, msg: str, *args) -> None:
         raise InputError(msg.format(*args))
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: Python's json gives true/false as bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A finite JSON number; json also parses NaN, Infinity and true/false."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _as_matrix(raw, rows: int, cols: int, name: str) -> tuple:
     _require(isinstance(raw, list) and len(raw) == rows,
              "{} must be a {}x{} matrix", name, rows, cols)
@@ -69,8 +80,8 @@ def _as_matrix(raw, rows: int, cols: int, name: str) -> tuple:
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == cols,
                  "{} row {} must have {} entries", name, i + 1, cols)
-        _require(all(isinstance(x, (int, float)) for x in row),
-                 "{} row {} has a non-numeric entry", name, i + 1)
+        _require(all(_is_real(x) for x in row),
+                 "{} row {} has an entry that is not a finite number", name, i + 1)
         out.append(tuple(float(x) for x in row))
     return tuple(out)
 
@@ -85,9 +96,9 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     name = doc.get("name", "unnamed")
     _require(isinstance(name, str), "name must be a string")
     dim = doc.get("dim")
-    _require(isinstance(dim, int) and dim >= 1, "dim must be a positive integer")
+    _require(_is_int(dim) and dim >= 1, "dim must be a positive integer")
     h_dim = doc.get("h_dim", 0)
-    _require(isinstance(h_dim, int) and 0 <= h_dim <= dim,
+    _require(_is_int(h_dim) and 0 <= h_dim <= dim,
              "h_dim must be an integer in [0, {}]", dim)
     m_dim = dim - h_dim
 
@@ -99,10 +110,10 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         _require(isinstance(entry, list) and len(entry) == 4,
                  "structure_constants entry {} must be [i, j, k, value]", pos + 1)
         i, j, k, v = entry
-        _require(all(isinstance(x, int) for x in (i, j, k)),
+        _require(all(_is_int(x) for x in (i, j, k)),
                  "structure_constants entry {}: indices must be integers", pos + 1)
-        _require(isinstance(v, (int, float)),
-                 "structure_constants entry {}: value must be numeric", pos + 1)
+        _require(_is_real(v),
+                 "structure_constants entry {}: value must be a finite number", pos + 1)
         for idx in (i, j, k):
             _require(1 <= idx <= dim, "structure_constants entry {}: index {} "
                      "out of range [1, {}]", pos + 1, idx, dim)
@@ -126,8 +137,8 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         raw_x = doc["X"]
         _require(isinstance(raw_x, list) and len(raw_x) == m_dim,
                  "X must be a vector of length m_dim = {}", m_dim)
-        _require(all(isinstance(x, (int, float)) for x in raw_x),
-                 "X has a non-numeric entry")
+        _require(all(_is_real(x) for x in raw_x),
+                 "X has an entry that is not a finite number")
         X = tuple(float(x) for x in raw_x)
 
     raw_flags = doc.get("flags", [])
@@ -140,8 +151,9 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         for which, raw_v in zip(("Y", "U"), pair):
             _require(isinstance(raw_v, list) and len(raw_v) == m_dim,
                      "flag {} {} must have length m_dim = {}", pos + 1, which, m_dim)
-            _require(all(isinstance(x, (int, float)) for x in raw_v),
-                     "flag {} {} has a non-numeric entry", pos + 1, which)
+            _require(all(_is_real(x) for x in raw_v),
+                     "flag {} {} has an entry that is not a finite number",
+                     pos + 1, which)
             vecs.append(tuple(float(x) for x in raw_v))
         flags.append((vecs[0], vecs[1]))
 

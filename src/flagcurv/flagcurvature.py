@@ -4,7 +4,8 @@ K is assembled from two curvature contractions <X, R(U,Y)Y> and
 <R(U,Y)Y, U>, which can come from three methods: the general
 Puttmann-style closed forms, the naturally reductive double-bracket
 formula, or the bi-invariant corollary.  One kernel evaluates them on a
-stack of flags: one row for flag_curvature, blocks of rows for scan_flags.
+stack of flags: one row for flag_curvature, every config flag of a
+`curvature` command at once, blocks of rows for scan_flags.
 
 Sign conventions: the transcribed closed-form contractions evaluate, in
 the bi-invariant phi = I case, to the negatives of the oracle values
@@ -138,7 +139,7 @@ class _Kernel:
             # the metric on m alone cannot be bi-invariant on the algebra
             raise PreconditionError("bi-invariant method needs trivial isotropy")
         require((words, getattr(geom, attr)) for attr, words in _NEEDS[method])
-        self.geom, self.method = geom, method
+        self.geom, self.method, self.convention = geom, method, convention
         self.Xg = d.X @ geom.inner.g
         if method == "general":
             self.closed = _ClosedForms(geom, d.X, convention)
@@ -161,6 +162,32 @@ class _Kernel:
     def K(self, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
         XRYY, URYY, _ = self(Y, U)
         return _assemble(Y @ self.Xg, U @ self.Xg, XRYY, URYY)[2]
+
+    def reports(self, Y: np.ndarray, U: np.ndarray) -> list[CurvatureReport]:
+        """One CurvatureReport per row of two (N, m) stacks of g-orthonormal
+        flags.  The general method takes R(U,Y)Y and the oracle value of
+        <R(U,Y)Y,U> from one stacked curvature_oracle call on the geometry's
+        Levi-Civita connection when the metric is ad(h)-invariant."""
+        geom, N = self.geom, len(Y)
+        XRYY, URYY, r = self(Y, U)
+        oracle, mismatch = URYY.tolist(), [None] * N
+        if self.method == "general":
+            oracle = [None] * N
+            if geom.ad_h_invariance.ok:
+                r = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
+                o = _rowdot(r @ geom.inner.g, U)
+                tol = np.maximum(1e-9, 1e-9 * np.abs(o))
+                oracle, mismatch = o.tolist(), (np.abs(URYY - o) > tol).tolist()
+        RYYY = np.zeros(N) if r is None else _rowdot(Y @ geom.inner.g, r)
+        numerator, denominator, K = _assemble(Y @ self.Xg, U @ self.Xg, XRYY, URYY)
+        return [
+            CurvatureReport(K=k, contractions=Contractions(XRYY=x, URYY=u, RYYY=ry),
+                            numerator=n, denominator=d, convention=self.convention,
+                            method=self.method, oracle_URYY=o, sign_mismatch=s)
+            for x, u, ry, n, d, k, o, s in zip(
+                *(a.tolist() for a in (XRYY, URYY, RYYY, numerator, denominator, K)),
+                oracle, mismatch)
+        ]
 
 
 class _ClosedForms:
@@ -272,32 +299,8 @@ def flag_curvature(
     connection (the Nomizu map) when the metric is ad(h)-invariant.
     """
     kernel = _Kernel(geom, d, method, convention)
-    g = geom.inner
-    flag = orthonormalize_flag(g, flag.Y, flag.U)
-    Y, U, X = flag.Y, flag.U, d.X
-    (XRYY,), (URYY,), r = kernel(Y[None], U[None])
-    XRYY, URYY, r_vec = float(XRYY), float(URYY), None if r is None else r[0]
-    oracle_URYY, sign_mismatch = URYY, None
-    if method == "general":
-        oracle_URYY = None
-        if geom.ad_h_invariance.ok:
-            r_vec = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
-            oracle_URYY = g.dot(r_vec, U)
-            sign_mismatch = abs(URYY - oracle_URYY) > max(
-                1e-9, 1e-9 * abs(oracle_URYY)
-            )
-    RYYY = g.dot(Y, r_vec) if r_vec is not None else 0.0
-    numerator, denominator, K = _assemble(g.dot(X, Y), g.dot(X, U), XRYY, URYY)
-    return CurvatureReport(
-        K=K,
-        contractions=Contractions(XRYY=XRYY, URYY=URYY, RYYY=RYYY),
-        numerator=numerator,
-        denominator=denominator,
-        convention=convention,
-        method=method,
-        oracle_URYY=oracle_URYY,
-        sign_mismatch=sign_mismatch,
-    )
+    flag = orthonormalize_flag(geom.inner, flag.Y, flag.U)
+    return kernel.reports(flag.Y[None], flag.U[None])[0]
 
 
 def flag_curvature_biinvariant(

@@ -34,7 +34,8 @@ class ConnectionTable:
     gamma: np.ndarray
 
     def nabla(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.gamma)
+        """nabla_x y for vectors or (N, m) row stacks, row by row."""
+        return np.einsum("...i,...j,ijk->...k", x, y, self.gamma)
 
 
 def koszul_connection(L: LieAlgebraSpec, g: InnerProduct) -> ConnectionTable:
@@ -66,14 +67,15 @@ def curvature_oracle(
     v: np.ndarray,
     w: np.ndarray,
 ) -> np.ndarray:
-    """R(u,v)w on m by composing the connection table on invariant fields."""
+    """R(u,v)w on m by composing the connection table on invariant fields;
+    u, v and w may be vectors or (N, m) row stacks, giving R row by row."""
     h = L.dim - conn.gamma.shape[0]
-    b = np.einsum("i,j,ijk->k", u, v, L.c[h:, h:])  # [u, v], full coordinates
+    b = np.einsum("...i,...j,ijk->...k", u, v, L.c[h:, h:])  # [u, v], full coordinates
     return (
         conn.nabla(u, conn.nabla(v, w))
         - conn.nabla(v, conn.nabla(u, w))
-        - conn.nabla(b[h:], w)
-        - np.einsum("a,j,ajk->k", b[:h], w, L.c[:h, h:, h:])  # [[u,v]_h, w]
+        - conn.nabla(b[..., h:], w)
+        - np.einsum("...a,...j,ajk->...k", b[..., :h], w, L.c[:h, h:, h:])  # [[u,v]_h, w]
     )
 
 
@@ -128,7 +130,7 @@ def sectional(
     """Sectional curvature <R(u,x)x, u> / (|x|^2 |u|^2 - <x,u>^2).
 
     u may be an (N, n) stack, giving N values: u -> R(u,x)x is linear, so
-    n oracle calls on the basis build it once, and one product applies it.
+    one oracle call on the basis builds it, and one product applies it.
     """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     us = np.atleast_2d(u)
@@ -139,7 +141,6 @@ def sectional(
     denom = xx * uu - (ug @ x) ** 2
     if np.any(denom <= TOL_ORACLE * np.maximum(1.0, xx * uu)):
         raise FlagError("sectional curvature needs linearly independent vectors")
-    jacobi = np.reshape([curvature_oracle(conn, L, e, x, x) for e in np.eye(g.dim)],
-                        (g.dim, g.dim))
+    jacobi = curvature_oracle(conn, L, np.eye(g.dim), x, x)
     k = np.einsum("ij,ij->i", us @ jacobi, ug) / denom
     return float(k[0]) if u.ndim == 1 else k

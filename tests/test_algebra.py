@@ -14,6 +14,7 @@ from flagcurv import (
     jacobi_defect,
     project,
 )
+from flagcurv.algebra import TOL_HYPOTHESIS
 from conftest import (
     change_basis,
     direct_sum,
@@ -88,6 +89,23 @@ def test_jacobi_broken_tensor():
     c[2, 0, 0] = -1.0
     defect = jacobi_defect(LieAlgebraSpec(3, c))
     assert defect == pytest.approx(1.0)
+
+
+def test_jacobi_keeps_an_overflowed_defect():
+    # the broken tensor above at scale 1e160: its Jacobiator (1e320)
+    # overflows to inf and NaN, and the check must fail, not read 0
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2], c[0, 2, 0], c[2, 0, 0] = 1e160, -1e160, 1e160, -1e160
+    defect = jacobi_defect(LieAlgebraSpec(3, c))
+    assert not defect <= TOL_HYPOTHESIS
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_structure_constants_refused(bad):
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = bad, -bad
+    with pytest.raises(InputError, match="structure constants must be finite"):
+        LieAlgebraSpec(3, c)
 
 
 def test_jacobi_invariant_under_basis_permutation(su2):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from flagcurv import (
+    FlagError,
     InnerProduct,
     InputError,
+    LieAlgebraSpec,
     PreconditionError,
     ad_skew_check,
     is_perfect,
@@ -164,6 +166,16 @@ class TestSectionalAlongX:
     def test_zero_drift_rejected(self, su2_plus_r):
         with pytest.raises(InputError):
             sectional_along_X_sign(make_geometry(su2_plus_r), np.zeros(4))
+
+    def test_fewer_than_two_dimensions_rejected(self):
+        # no 2-plane contains X, so there is no sample to report a range over
+        geom = make_geometry(LieAlgebraSpec(1, np.zeros((1, 1, 1))))
+        with pytest.raises(FlagError, match="flags need m_dim >= 2"):
+            sectional_along_X_sign(geom, np.array([0.2]))
+
+    def test_no_samples_rejected(self, su2_plus_r):
+        with pytest.raises(InputError, match="n_samples must be positive"):
+            sectional_along_X_sign(make_geometry(su2_plus_r), 0.5 * E4[3], n_samples=0)
 
 
 @pytest.mark.parametrize("check", [obstruction_report, sectional_along_X_sign])

@@ -70,6 +70,61 @@ class TestParseConfig:
             assert cfg.dim >= 1
 
 
+# Every numeric config field, as a path into NUMERIC_DOC.  Python's json
+# parses NaN, Infinity and true, and bool is an int subclass: each must be
+# refused (exit 1) rather than computed with or crashed on.
+NUMERIC_DOC = {"dim": 4, "h_dim": 0, "g0": np.eye(4).tolist(), "phi": np.eye(4).tolist(),
+               "structure_constants": [[1, 2, 3, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]],
+               "X": [0.0, 0.0, 0.0, 0.5], "flags": [[[1.0, 0, 0, 0], [0, 1.0, 0, 0]]],
+               "options": {"seed": 1, "samples": 10}}
+NUMERIC_FIELDS = [("dim",), ("h_dim",), ("structure_constants", 0, 0),
+                  ("structure_constants", 0, 3), ("g0", 0, 1), ("phi", 1, 1), ("X", 0),
+                  ("flags", 0, 0, 1), ("flags", 0, 1, 0), ("options", "seed"),
+                  ("options", "samples")]
+
+
+class TestConfigNumbers:
+    def test_the_document_is_accepted_as_written(self, capsys, tmp_path):
+        assert run(capsys, "validate", TestGate.write(tmp_path, NUMERIC_DOC))[0] == 0
+
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS, ids=lambda f: "/".join(map(str, f)))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True],
+                             ids=["NaN", "Infinity", "-Infinity", "true"])
+    def test_non_finite_or_boolean_refused(self, capsys, tmp_path, field, bad):
+        doc = json.loads(json.dumps(NUMERIC_DOC))
+        *parents, last = field
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = bad
+        path = TestGate.write(tmp_path, doc)
+        assert run(capsys, "validate", path)[:2] == (1, "")
+        with pytest.raises(InputError):
+            parse_config(path)
+
+    @pytest.mark.parametrize("command", ["validate", "curvature", "scan", "berwald"])
+    def test_nan_in_phi_is_refused_by_every_command(self, capsys, tmp_path, command):
+        doc = json.loads(json.dumps(NUMERIC_DOC))
+        doc["phi"][0][0] = math.nan
+        got = run(capsys, command, TestGate.write(tmp_path, doc))
+        assert got == (1, "", "error: phi row 1 has an entry that is not a finite "
+                              "number\n")
+
+    def test_overflowing_jacobiator_fails_validation(self, capsys, tmp_path):
+        # [e1,e2] = e3, [e1,e3] = e1 (Jacobi defect 1) scaled to 1e160: the
+        # Jacobiator overflows, and the check must fail, not read 0
+        doc = {"dim": 4, "structure_constants": [[1, 2, 3, 1e160], [1, 3, 1, 1e160]]}
+        path = TestGate.write(tmp_path, doc)
+        code, out, _ = run(capsys, "validate", path, "--output", "json")
+        report = json.loads(out)  # NaN is not JSON: a non-finite value is null
+        assert code == 2 and report["ok"] is False
+        jacobi = report["checks"][0]
+        assert jacobi["name"] == "jacobi" and jacobi["ok"] is False
+        assert jacobi["value"] is None or jacobi["value"] > 1e-9
+        code, _, err = run(capsys, "curvature", path)
+        assert code == 2 and "check jacobi fails" in err
+
+
 class TestValidateCommand:
     def test_su2_ok(self, capsys):
         code, out, _ = run(capsys, "validate", str(CONFIGS / "su2.json"))
@@ -361,8 +416,8 @@ class TestCallDomain:
                                f"general method only, got '{method}'\n")
 
     # m_dim = 1 (a dim-1 algebra) and m_dim = 0 (su(2) with h_dim = 3): no
-    # 2-plane exists, so curvature refuses the config's flag and scan refuses
-    # to draw any; validate and berwald run.
+    # 2-plane exists, so curvature and scan refuse the call before any flag
+    # is read or drawn; validate and berwald run.
     DIM1 = {"dim": 1, "structure_constants": [], "X": [0.2], "flags": [[[1.0], [1.0]]]}
     ISOTROPY_ONLY = {"dim": 3, "h_dim": 3, "X": [], "flags": [[[], []]],
                      "structure_constants": [[1, 2, 3, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]]}
@@ -370,8 +425,7 @@ class TestCallDomain:
     @pytest.mark.parametrize("doc", [DIM1, ISOTROPY_ONLY], ids=["m_dim=1", "h_dim=dim"])
     @pytest.mark.parametrize("command, code, err", [
         ("validate", 0, ""),
-        ("curvature", 3, "precondition error: flag vectors are (numerically) "
-                         "linearly dependent\n"),
+        ("curvature", 3, "precondition error: flags need m_dim >= 2\n"),
         ("scan", 3, "precondition error: flags need m_dim >= 2\n"),
         ("berwald", 0, ""),
     ])
@@ -382,6 +436,19 @@ class TestCallDomain:
             got = run(capsys, command, path, "--output", "json", *flags)
             assert (got[0], got[2]) == (code, err)
             assert (got[1] == "") == (code != 0)
+            if command == "berwald":
+                # the dim-1 drift is admissible, but there is no plane to sample
+                assert "sectional_along_X" not in json.loads(got[1])
+                table = run(capsys, command, path, *flags)
+                assert table[0] == 0 and "sectional" not in table[1]
+
+
+@pytest.mark.parametrize("command", ["curvature", "scan", "berwald"])
+def test_force_help_names_what_it_never_skips(command):
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    (force,) = [a for a in sub._actions if "--force" in a.option_strings]
+    for words in ("|X|_g < 1", "reductive split", "method's metric"):
+        assert words in force.help
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -413,6 +480,15 @@ def test_command_computes_the_derived_subalgebra_once(monkeypatch, capsys, comma
     assert len(derived) == 1
 
 
+@pytest.mark.parametrize("command", ["curvature", "berwald"])
+def test_command_calls_the_curvature_oracle_once(monkeypatch, capsys, command):
+    # curvature: the two config flags as one stack; berwald: the Jacobi
+    # operator of its samples and witnesses from the basis as one stack
+    oracle = _count(monkeypatch, flagcurv.riemann, "curvature_oracle")
+    assert main([command, str(CONFIGS / "su2_plus_r.json"), "--output", "json"]) == 0
+    assert len(oracle) == 1
+
+
 @pytest.mark.parametrize("method", ["general", "naturally-reductive", "bi-invariant"])
 def test_curvature_does_its_per_problem_work_once(monkeypatch, capsys, method):
     # One gated call checks the Jacobi identity once and builds the
@@ -422,12 +498,14 @@ def test_curvature_does_its_per_problem_work_once(monkeypatch, capsys, method):
         (flagcurv.algebra, "jacobi_defect"),
         (flagcurv.riemann, "koszul_connection"),
         (flagcurv.metrics, "check_bi_invariance"),
+        (flagcurv.finsler, "validate_finsler"),
     )]
+    # su2_plus_r.json has two flags: one kernel evaluates both
     argv = ["curvature", str(CONFIGS / "su2_plus_r.json"), "--output", "json",
             "--method", method]
     assert main(argv) == 0
     first = [len(calls) for calls in counts]
-    assert first[0] == 1 and first[1] <= 1 and first[2] <= 1
+    assert first[0] == 1 and first[1] <= 1 and first[2] <= 1 and first[3] == 1
     assert main(argv) == 0
     assert [len(calls) for calls in counts] == [2 * k for k in first]
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flagcurv.riemann
 from flagcurv import (
     FlagError,
     InnerProduct,
@@ -210,6 +211,17 @@ class TestSectional:
         with pytest.raises(FlagError):
             sectional(heisenberg, g, conn, x, np.vstack([us, 2.0 * x]))
 
+    def test_builds_its_jacobi_operator_in_one_oracle_call(self, monkeypatch, heisenberg):
+        calls = []
+        oracle = flagcurv.riemann.curvature_oracle
+        monkeypatch.setattr(flagcurv.riemann, "curvature_oracle",
+                            lambda *args: calls.append(args) or oracle(*args))
+        rng = np.random.default_rng(3)
+        g = random_metric(rng, 3)
+        x, us = rng.normal(size=3), rng.normal(size=(5, 3))
+        sectional(heisenberg, g, koszul_connection(heisenberg, g), x, us)
+        assert len(calls) == 1
+
 
 # --- the Nomizu route on S^k x R (+ a group factor), h = so(k) -------------
 
@@ -282,6 +294,37 @@ def test_nomizu_curvature_splits_on_a_product_metric(problem):
         r = curvature_oracle(geom.connection, L, flag.U, flag.Y, flag.Y)
         oracle = g.dot(r, flag.U)
         assert near(puttmann_URYY(geom, flag.Y, flag.U), oracle)
+
+
+@st.composite
+def oracle_stacks(draw):
+    """A geometry with h > 0 (as in invariant_products) or h = 0 (su(2) + h_3
+    with a random left-invariant metric), and three (N, m) stacks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        geom = draw(invariant_products())[0]
+    else:
+        A = rng.normal(size=(6, 6))
+        L = LieAlgebraSpec(6, direct_sum(su2_tensor(), heisenberg_tensor()))
+        geom = make_geometry(L, phi=A @ A.T / 6 + 0.5 * np.eye(6))
+    N = draw(st.integers(1, 6))
+    return geom, rng.normal(size=(3, N, geom.m_dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_stacks())
+def test_a_stacked_oracle_is_the_per_vector_oracle_row_by_row(problem):
+    geom, (u, v, w) = problem
+    conn, L = geom.connection, geom.algebra
+    stacked = curvature_oracle(conn, L, u, v, w)
+    assert stacked.shape == u.shape
+    for r, a, b, d in zip(stacked, u, v, w):
+        assert near(r, curvature_oracle(conn, L, a, b, d))
+    # a vector broadcasts against a stack, as in sectional's Jacobi operator
+    jacobi = curvature_oracle(conn, L, u, v[0], v[0])
+    for r, a in zip(jacobi, u):
+        assert near(r, curvature_oracle(conn, L, a, v[0], v[0]))
+    assert near(conn.nabla(u, v), np.array([conn.nabla(a, b) for a, b in zip(u, v)]))
 
 
 @pytest.mark.parametrize("k", [2, 4, 7])
