@@ -543,6 +543,16 @@ class TestGoldenOutput:
                   "--output", "json", "--force")
         assert got[:2] == (0, (GOLDEN / f"scan_{name}.json").read_text())
 
+    @pytest.mark.parametrize("command", ["curvature", "scan"])
+    @pytest.mark.parametrize("name", ["su2", "su2_u1", "abelian_r3"])
+    def test_default_json(self, capsys, command, name):
+        got = run(capsys, command, str(CONFIGS / f"{name}.json"), "--output", "json")
+        assert got[:2] == (0, (GOLDEN / f"{command}_{name}.json").read_text())
+
+    def test_default_curvature_table(self, capsys):
+        got = run(capsys, "curvature", str(CONFIGS / "su2_plus_r.json"))
+        assert got[:2] == (0, (GOLDEN / "curvature_su2_plus_r.txt").read_text())
+
     @pytest.mark.parametrize("name", ["su2_plus_r", "heisenberg", "su2_u1"])
     def test_berwald(self, capsys, name):
         got = run(capsys, "berwald", str(CONFIGS / f"{name}.json"), "--output", "json")
