@@ -48,7 +48,6 @@ from .flagcurvature import (
     flag_curvature,
     flag_curvature_biinvariant,
     puttmann_URYY,
-    puttmann_XRYY,
     sample_flag,
     scan_flags,
 )

@@ -168,15 +168,19 @@ def _gate(config: ProblemConfig, args, method: str | None):
     return geom, data, raw_flags
 
 
-def _sampling(config: ProblemConfig, args) -> RunOptions:
-    """The config's run options under --samples and --seed, held to its rules."""
-    given = {"samples": args.samples, "seed": args.seed}
+def _options(config: ProblemConfig, args) -> RunOptions:
+    """The config's run options under those of --convention, --method,
+    --samples and --seed that args' subcommand takes, held to its rules."""
+    flags = next(flags for _, fn, flags in _subcommands() if fn is args.func)
+    fields = {"--convention": "sign_convention", "--method": "method",
+              "--samples": "samples", "--seed": "seed"}
+    given = {fields[f]: getattr(args, f[2:]) for f in flags if f in fields}
     return replace(config.options, **{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_curvature(config: ProblemConfig, args) -> int:
-    convention = args.convention or config.options.sign_convention
-    method = args.method or config.options.method
+    opts = _options(config, args)
+    convention, method = opts.sign_convention, opts.method
     geom, data, raw_flags = _gate(config, args, method)
     if not raw_flags:
         raise InputError("config has no flags; add at least one [Y, U] pair")
@@ -238,9 +242,8 @@ def cmd_curvature(config: ProblemConfig, args) -> int:
 
 
 def cmd_scan(config: ProblemConfig, args) -> int:
-    convention = args.convention or config.options.sign_convention
-    method = args.method or config.options.method
-    opts = _sampling(config, args)
+    opts = _options(config, args)
+    convention, method = opts.sign_convention, opts.method
     geom, data, _ = _gate(config, args, method)
     summary = scan_flags(
         geom, data, n_samples=opts.samples, seed=opts.seed,
@@ -283,7 +286,7 @@ def cmd_scan(config: ProblemConfig, args) -> int:
 
 
 def cmd_berwald(config: ProblemConfig, args) -> int:
-    opts = _sampling(config, args)
+    opts = _options(config, args)
     geom, data, _ = _gate(config, args, None)
     if geom.pair.h_dim > 0:
         if args.output == "json":
@@ -340,6 +343,17 @@ def cmd_berwald(config: ProblemConfig, args) -> int:
     return EXIT_OK
 
 
+def _subcommands():
+    """(name, command, flags) of each subcommand: it accepts only the flags its command reads."""
+    return (
+        ("validate", cmd_validate, ("--output",)),
+        ("curvature", cmd_curvature, ("--output", "--convention", "--method", "--force")),
+        ("scan", cmd_scan, ("--output", "--convention", "--method", "--samples", "--seed",
+                            "--force")),
+        ("berwald", cmd_berwald, ("--output", "--samples", "--seed", "--force")),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="flagcurv",
@@ -361,13 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "needs (|X|_g < 1, a reductive split, the method's metric) "
                             "is still refused"},
     }
-    # Each subcommand accepts only the flags its command reads.
-    for name, fn, flags in (
-        ("validate", cmd_validate, ("--output",)),
-        ("curvature", cmd_curvature, ("--output", "--convention", "--method", "--force")),
-        ("scan", cmd_scan, tuple(options)),
-        ("berwald", cmd_berwald, ("--output", "--samples", "--seed", "--force")),
-    ):
+    for name, fn, flags in _subcommands():
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON problem config")
         for flag in flags:

@@ -1,17 +1,18 @@
 """Flag curvature K(P, Y) of F = (alpha + beta)^2 / alpha.
 
-K is assembled from two curvature contractions <X, R(U,Y)Y> and
-<R(U,Y)Y, U>, which can come from three methods: the general
-Puttmann-style closed forms, the naturally reductive double-bracket
-formula, or the bi-invariant corollary.  One kernel evaluates them on a
-stack of flags: one row for flag_curvature, every config flag of a
-`curvature` command at once, blocks of rows for scan_flags.
+The paper's K holds for a parallel drift X; then R(.,.)X = 0, its term
+6 <X,R(U,Y)Y> <X,U> vanishes, and K is assembled from <R(U,Y)Y, U> alone:
+the general Puttmann-style closed form, the naturally reductive
+double-bracket formula, or the bi-invariant corollary.  For any other X
+this K is not the flag curvature.  One kernel evaluates it on a stack of
+flags: one row for flag_curvature, every config flag of a `curvature`
+command at once, blocks of rows for scan_flags.
 
-Sign conventions: the transcribed closed-form contractions evaluate, in
-the bi-invariant phi = I case, to the negatives of the oracle values
+Sign conventions: the transcribed closed-form contraction evaluates, in
+the bi-invariant phi = I case, to the negative of the oracle value
 (su(2) gives -1/4 |[Y,U]|^2 where the round sphere needs +1/4).  The
-default 'oracle-aligned' convention multiplies both contractions by a
-single global sign calibrated against the Koszul oracle;
+default 'oracle-aligned' convention multiplies it by a single global sign
+calibrated against the Koszul oracle;
 'paper-verbatim' keeps the transcription untouched for auditing.  Only
 the general method has a transcription, so only it takes 'paper-verbatim'.
 """
@@ -32,14 +33,14 @@ from .riemann import _nat_reductive_RUYY, _require_reductive, curvature_oracle
 CONVENTIONS = ("oracle-aligned", "paper-verbatim")
 METHODS = ("general", "naturally-reductive", "bi-invariant")
 
-# Global sign relating the transcribed contractions to the curvature
+# Global sign relating the transcribed contraction to the curvature
 # oracle, calibrated once on the bi-invariant su(2) round sphere.
 ORACLE_SIGN = -1.0
 
 
 @dataclass(frozen=True)
 class Contractions:
-    XRYY: float
+    XRYY: float | None
     URYY: float
     RYYY: float
 
@@ -106,8 +107,8 @@ def hypotheses(geom: HomogeneousGeometry, X: np.ndarray, method: str):
 
 
 class _Kernel:
-    """The contractions <X,R(U,Y)Y> and <R(U,Y)Y,U> of one geometry, drift,
-    method and convention, on a stack of flags at once.
+    """The contraction <R(U,Y)Y,U> of one geometry, method and convention,
+    and K for one drift, on a stack of flags at once.
 
     The one place a curvature call is validated: everything that does not
     depend on the flag, including the formula's domain |X|_g < 1 and the
@@ -141,35 +142,31 @@ class _Kernel:
         require((words, getattr(geom, attr)) for attr, words in _NEEDS[method])
         self.geom, self.method, self.convention = geom, method, convention
         self.Xg = d.X @ geom.inner.g
-        if method == "general":
-            self.closed = _ClosedForms(geom, d.X, convention)
 
-    def __call__(
-        self, Y: np.ndarray, U: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(XRYY, URYY, R(U,Y)Y or None) for g-orthonormal flags whose Y and U
-        are the rows of two (N, m) stacks: two (N,) arrays and an (N, m)
-        array; the general method's closed forms give no R(U,Y)Y."""
+    def __call__(self, Y: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(URYY, R(U,Y)Y or None) for g-orthonormal flags whose Y and U are
+        the rows of two (N, m) stacks: an (N,) and an (N, m) array; the
+        general method's closed form gives no R(U,Y)Y."""
         geom = self.geom
         h, N = geom.pair.h_dim, len(Y)
         YU = np.zeros((2 * N, geom.algebra.dim))
         YU[:N, h:], YU[N:, h:] = Y, U
         if self.method != "general":
             r = _nat_reductive_RUYY(geom.algebra, YU[:N], YU[N:], h)
-            return r @ self.Xg, _rowdot(U @ geom.inner.g, r), r
-        return (*self.closed(YU), None)
+            return _rowdot(U @ geom.inner.g, r), r
+        return _closed_URYY(geom, YU, self.convention), None
 
     def K(self, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
-        XRYY, URYY, _ = self(Y, U)
-        return _assemble(Y @ self.Xg, U @ self.Xg, XRYY, URYY)[2]
+        return _assemble(Y @ self.Xg, U @ self.Xg, self(Y, U)[0])[2]
 
     def reports(self, Y: np.ndarray, U: np.ndarray) -> list[CurvatureReport]:
         """One CurvatureReport per row of two (N, m) stacks of g-orthonormal
         flags.  The general method takes R(U,Y)Y and the oracle value of
         <R(U,Y)Y,U> from one stacked curvature_oracle call on the geometry's
-        Levi-Civita connection when the metric is ad(h)-invariant."""
+        Levi-Civita connection when the metric is ad(h)-invariant.  XRYY,
+        zero for a parallel X and not part of K, is <X,R(U,Y)Y> or None."""
         geom, N = self.geom, len(Y)
-        XRYY, URYY, r = self(Y, U)
+        URYY, r = self(Y, U)
         oracle, mismatch = URYY.tolist(), [None] * N
         if self.method == "general":
             oracle = [None] * N
@@ -178,84 +175,42 @@ class _Kernel:
                 o = _rowdot(r @ geom.inner.g, U)
                 tol = np.maximum(1e-9, 1e-9 * np.abs(o))
                 oracle, mismatch = o.tolist(), (np.abs(URYY - o) > tol).tolist()
+        XRYY = [None] * N if r is None else (r @ self.Xg).tolist()
         RYYY = np.zeros(N) if r is None else _rowdot(Y @ geom.inner.g, r)
-        numerator, denominator, K = _assemble(Y @ self.Xg, U @ self.Xg, XRYY, URYY)
+        numerator, denominator, K = _assemble(Y @ self.Xg, U @ self.Xg, URYY)
         return [
             CurvatureReport(K=k, contractions=Contractions(XRYY=x, URYY=u, RYYY=ry),
                             numerator=n, denominator=d, convention=self.convention,
                             method=self.method, oracle_URYY=o, sign_mismatch=s)
             for x, u, ry, n, d, k, o, s in zip(
-                *(a.tolist() for a in (XRYY, URYY, RYYY, numerator, denominator, K)),
+                XRYY, *(a.tolist() for a in (URYY, RYYY, numerator, denominator, K)),
                 oracle, mismatch)
         ]
 
 
-class _ClosedForms:
-    """Closed forms (<X,R(U,Y)Y>, <R(U,Y)Y,U>) for one drift X, as printed
-    and times the convention's sign.
-
-    Term 2 pairs m-projections with the derived metric <.,.>; the other
-    terms use <.,.>_0 on the full algebra, as printed.  Vectors are rows of
-    (N, n) stacks; the drift's brackets use its ad matrices, built once.
-    """
-
-    def __init__(self, geom: HomogeneousGeometry, X: np.ndarray, convention: str):
-        self.geom = geom
-        self.sign = 1.0 if convention == "paper-verbatim" else ORACLE_SIGN
-        self.phi_T = geom.phi.phi_full.T
-        Xf = geom.pair.embed_m(X)
-        ad_X = geom.algebra.ad(Xf)
-        # v @ drift_ops = ([v, X], [v, phi X], [X, phi v])
-        self.drift_ops = np.hstack(
-            (-ad_X, -geom.algebra.ad(geom.phi.phi_full @ Xf), self.phi_T @ ad_X)
-        )
-
-    def __call__(self, YU: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """YU stacks the Y of N flags over their U, (2N, n) in full
-        coordinates; returns the two contractions as (N,) arrays."""
-        geom = self.geom
-        h, g0, g0_phi_inv = geom.pair.h_dim, geom.g0.g0, geom.g0_phi_inv
-        N = len(YU) // 2
-        Y, U = YU[:N], YU[N:]
-        (y_X, y_pX, x_pY), (_, u_pX, x_pU) = (
-            (YU @ self.drift_ops).reshape(2, N, 3, -1).transpose(0, 2, 1, 3)
-        )
-        pY, pU = np.split(YU @ self.phi_T, 2)
-        y_pY, y_pU, u_pY, u_pU, y_U = geom.algebra.brackets(
-            np.concatenate((Y, Y, U, U, Y)), np.concatenate((pY, pU, pY, pU, U))
-        ).reshape(5, N, -1)
-        s = u_pY - y_pU  # [phi U, Y] + [U, phi Y]
-        t = u_pY + y_pU  # [U, phi Y] + [Y, phi U]
-        s_g0, yU_g0, t_w = s @ g0, y_U @ g0, t @ g0_phi_inv
-        yU_m_g = y_U[:, h:] @ geom.inner.g
-        w = y_pY @ g0_phi_inv.T  # g0 phi^-1 [Y, phi Y]
-
-        xryy = self.sign * (
-            0.25 * (_rowdot(s_g0, y_X) + _rowdot(yU_g0, x_pY - y_pX))
-            + 0.75 * _rowdot(yU_m_g, y_X[:, h:])
-            + 0.5 * _rowdot(u_pX + x_pU, w)
-            - 0.25 * _rowdot(t_w, y_pX + x_pY)
-        )
-        uryy = self.sign * (
-            0.5 * _rowdot(s_g0, y_U)
-            + 0.75 * _rowdot(yU_m_g, y_U[:, h:])
-            + _rowdot(u_pU, w)
-            - 0.25 * _rowdot(t_w, t)
-        )
-        return xryy, uryy
-
-
-def puttmann_XRYY(
-    geom: HomogeneousGeometry,
-    X: np.ndarray,
-    Y: np.ndarray,
-    U: np.ndarray,
-    convention: str = "oracle-aligned",
-) -> float:
-    """Closed-form <X, R(U,Y)Y>; all vectors in m-coordinates."""
-    _check_convention(convention)
-    YU = np.stack((geom.pair.embed_m(Y), geom.pair.embed_m(U)))
-    return float(_ClosedForms(geom, X, convention)(YU)[0][0])
+def _closed_URYY(geom: HomogeneousGeometry, YU: np.ndarray, convention: str) -> np.ndarray:
+    """Closed form <R(U,Y)Y,U> as printed, times the convention's sign, of
+    the N flags whose Y are stacked over their U in YU, (2N, n) in full
+    coordinates.  Term 2 pairs m-projections with the derived metric <.,.>;
+    the other terms use <.,.>_0 on the full algebra, as printed."""
+    h, g0, g0_phi_inv = geom.pair.h_dim, geom.g0.g0, geom.g0_phi_inv
+    N = len(YU) // 2
+    Y, U = YU[:N], YU[N:]
+    pY, pU = np.split(YU @ geom.phi.phi_full.T, 2)
+    y_pY, y_pU, u_pY, u_pU, y_U = geom.algebra.brackets(
+        np.concatenate((Y, Y, U, U, Y)), np.concatenate((pY, pU, pY, pU, U))
+    ).reshape(5, N, -1)
+    s = u_pY - y_pU  # [phi U, Y] + [U, phi Y]
+    t = u_pY + y_pU  # [U, phi Y] + [Y, phi U]
+    yU_m = y_U[:, h:]
+    w = y_pY @ g0_phi_inv.T  # g0 phi^-1 [Y, phi Y]
+    sign = 1.0 if convention == "paper-verbatim" else ORACLE_SIGN
+    return sign * (
+        0.5 * _rowdot(s @ g0, y_U)
+        + 0.75 * _rowdot(yU_m @ geom.inner.g, yU_m)
+        + _rowdot(u_pU, w)
+        - 0.25 * _rowdot(t @ g0_phi_inv, t)
+    )
 
 
 def puttmann_URYY(
@@ -271,14 +226,15 @@ def puttmann_URYY(
     """
     _check_convention(convention)
     YU = np.stack((geom.pair.embed_m(Y), geom.pair.embed_m(U)))
-    return float(_ClosedForms(geom, np.zeros(geom.m_dim), convention)(YU)[1][0])
+    return float(_closed_URYY(geom, YU, convention)[0])
 
 
 def _assemble(
-    XY: float, XU: float, XRYY: float, URYY: float
-) -> tuple[float, float, float]:
-    """Numerator, denominator and K from <X,Y>, <X,U> and the contractions."""
-    numerator = 6.0 * XRYY * XU + URYY * (1.0 - XY**2)
+    XY: np.ndarray, XU: np.ndarray, URYY: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numerator, denominator and K from <X,Y>, <X,U> and <R(U,Y)Y,U>; the
+    paper's 6 <X,R(U,Y)Y> <X,U>, zero for a parallel X, is left out."""
+    numerator = URYY * (1.0 - XY**2)
     denominator = (1.0 + XY) ** 4 * (2.0 * XU**2 - XY**2 + 1.0)
     return numerator, denominator, numerator / denominator
 
@@ -293,10 +249,11 @@ def flag_curvature(
     """Flag curvature of the flag spanned by (Y, U) with flagpole Y.
 
     The flag is re-orthonormalized first (a projection when it already is
-    orthonormal).  K = [6 <X,R(U,Y)Y> <X,U> + <R(U,Y)Y,U> (1 - <X,Y>^2)]
-    / [(1 + <X,Y>)^4 (2 <X,U>^2 - <X,Y>^2 + 1)].  The general method also
-    reports the oracle value of <R(U,Y)Y,U> from the geometry's Levi-Civita
-    connection (the Nomizu map) when the metric is ad(h)-invariant.
+    orthonormal).  K = <R(U,Y)Y,U> (1 - <X,Y>^2) / [(1 + <X,Y>)^4 (2 <X,U>^2
+    - <X,Y>^2 + 1)], the paper's formula less its 6 <X,R(U,Y)Y> <X,U>, zero
+    for a parallel X; X is not checked here.  The general method also reports
+    <X,R(U,Y)Y> and the oracle value of <R(U,Y)Y,U> from the geometry's
+    Levi-Civita connection (the Nomizu map) when the metric is ad(h)-invariant.
     """
     kernel = _Kernel(geom, d, method, convention)
     flag = orthonormalize_flag(geom.inner, flag.Y, flag.U)

@@ -6,6 +6,7 @@ orthonormalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,6 +33,8 @@ class BiInvariantForm:
         g0 = np.asarray(self.g0, dtype=float)
         if g0.ndim != 2 or g0.shape[0] != g0.shape[1]:
             raise InputError(f"g0 must be square, got shape {g0.shape}")
+        if not np.isfinite(g0).all():
+            raise InputError("g0 must be finite")
         if not np.array_equal(g0, g0.T):
             raise ValidationError("g0 is not symmetric")
         eig_min = float(np.linalg.eigvalsh(g0)[0])
@@ -69,6 +72,8 @@ class MetricEndomorphism:
             raise InputError(
                 f"phi must be {m_dim}x{m_dim} (metric on m), got {phi.shape}"
             )
+        if not np.isfinite(phi).all():
+            raise InputError("phi must be finite")
         g0m = self.g0.g0[self.h_dim:, self.h_dim:]
         sym_defect = float(np.max(np.abs(g0m @ phi - phi.T @ g0m))) if m_dim else 0.0
         if sym_defect > TOL_HYPOTHESIS:
@@ -103,6 +108,8 @@ class InnerProduct:
         g = np.asarray(self.g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InputError(f"metric must be square, got shape {g.shape}")
+        if not np.isfinite(g).all():
+            raise InputError("metric must be finite")
         sym_defect = float(np.max(np.abs(g - g.T))) if g.size else 0.0
         if sym_defect > TOL_HYPOTHESIS:
             raise ValidationError(f"metric is not symmetric (defect {sym_defect:g})")
@@ -214,8 +221,10 @@ def orthonormalize_flag(
     if y.shape != (g.dim,) or u.shape != (g.dim,):
         raise InputError(f"flag vectors must have length {g.dim}")
     gyy = g.dot(y, y)
-    gyu = g.dot(y, u)
     guu = g.dot(u, u)
+    if not math.isfinite(gyy + guu):  # NaN or inf in y or u, or an overflow
+        raise InputError("flag vectors must be finite, with finite g-lengths")
+    gyu = g.dot(y, u)
     gram = gyy * guu - gyu * gyu
     if gyy <= 0 or gram <= tol_dep * max(1.0, gyy * guu):
         raise FlagError("flag vectors are (numerically) linearly dependent")

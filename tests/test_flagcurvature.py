@@ -15,36 +15,46 @@ from flagcurv import (
     numerator_identity_check,
     orthonormalize_flag,
     puttmann_URYY,
-    puttmann_XRYY,
     sample_flag,
     scan_flags,
     sectional,
 )
 from flagcurv.metrics import Flag
+from test_kernel import ref_puttmann
 
 E3 = np.eye(3)
 E4 = np.eye(4)
 
 
+def _xryy_oracle(geom, X, Y, U):
+    """<X, R(U,Y)Y> from the Levi-Civita connection."""
+    r = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
+    return geom.inner.dot(X, r)
+
+
 class TestPuttmannContractions:
+    # K no longer reads <X,R(U,Y)Y> (zero for a parallel X); the printed
+    # closed form for it lives on as the tests' transcription ref_puttmann.
     def test_xryy_verbatim_hand_value(self, su2):
         # su(2), phi = I, X = e2/2, Y = e1, U = e2: terms 3-4 vanish,
         # 1/4<4[U,Y],[Y,X]> + 3/4<[Y,U],[Y,X]> = -1/2 + 3/8
         geom = make_geometry(su2)
-        v = puttmann_XRYY(geom, 0.5 * E3[1], E3[0], E3[1],
-                          convention="paper-verbatim")
+        v = ref_puttmann(geom, 0.5 * E3[1], E3[0], E3[1], "paper-verbatim")[0]
         assert v == pytest.approx(-0.125)
+        assert _xryy_oracle(geom, 0.5 * E3[1], E3[0], E3[1]) == pytest.approx(-v)
 
     def test_xryy_oracle_aligned_sign_flip(self, su2):
         geom = make_geometry(su2)
-        v = puttmann_XRYY(geom, 0.5 * E3[1], E3[0], E3[1])
+        v = ref_puttmann(geom, 0.5 * E3[1], E3[0], E3[1], "oracle-aligned")[0]
         assert v == pytest.approx(0.125)
+        assert _xryy_oracle(geom, 0.5 * E3[1], E3[0], E3[1]) == pytest.approx(v)
 
     def test_xryy_zero_drift(self, su2):
         geom = make_geometry(su2)
         for conv in ("paper-verbatim", "oracle-aligned"):
-            assert puttmann_XRYY(geom, np.zeros(3), E3[0], E3[1],
-                                 convention=conv) == pytest.approx(0.0)
+            assert ref_puttmann(geom, np.zeros(3), E3[0], E3[1],
+                                conv)[0] == pytest.approx(0.0)
+        assert _xryy_oracle(geom, np.zeros(3), E3[0], E3[1]) == 0.0
 
     def test_uryy_verbatim_hand_value(self, su2):
         geom = make_geometry(su2)
@@ -78,9 +88,8 @@ class TestPuttmannContractions:
             assert puttmann_URYY(geom, flag.Y, flag.U) == pytest.approx(
                 g.dot(r, flag.U), abs=1e-10
             )
-            assert puttmann_XRYY(geom, x, flag.Y, flag.U) == pytest.approx(
-                g.dot(x, r), abs=1e-10
-            )
+            assert ref_puttmann(geom, x, flag.Y, flag.U,
+                                "oracle-aligned")[0] == pytest.approx(g.dot(x, r), abs=1e-10)
 
 
 class TestFlagCurvature:

@@ -24,18 +24,18 @@ from flagcurv import (
     check_ad_h_invariance,
     check_bi_invariance,
     check_naturally_reductive,
+    curvature_oracle,
     flag_curvature,
     flag_curvature_biinvariant,
     make_geometry,
     nat_reductive_R,
     orthonormalize_flag,
     puttmann_URYY,
-    puttmann_XRYY,
     sample_flag,
     scan_flags,
 )
-from flagcurv.flagcurvature import _BLOCK, _Kernel
-from flagcurv.metrics import Flag
+from flagcurv.flagcurvature import _BLOCK, _Kernel, hypotheses
+from flagcurv.metrics import Flag, require
 from conftest import direct_sum, heisenberg_tensor, so_tensor, sphere_tensor, su2_tensor
 
 CONVENTIONS = ("oracle-aligned", "paper-verbatim")
@@ -133,7 +133,7 @@ def ref_report(geom, d, flag, method, convention):
     adh_ok = check_ad_h_invariance(geom.algebra, geom.pair, g).ok
     r = None
     if method == "general":
-        XRYY, URYY = ref_puttmann(geom, X, Y, U, convention)
+        URYY = ref_puttmann(geom, X, Y, U, convention)[1]
         if adh_ok:
             r = ref_nomizu_R(c, h, g.g, U, Y)
     else:
@@ -145,20 +145,34 @@ def ref_report(geom, d, flag, method, convention):
         r = ref_nat_reductive_R(c, h, U, Y)
         if r is None:
             raise PreconditionError("stray h-component")
-        XRYY, URYY = g.dot(X, r), g.dot(U, r)
+        URYY = g.dot(U, r)
     XY, XU = g.dot(X, Y), g.dot(X, U)
-    numerator = 6.0 * XRYY * XU + URYY * (1.0 - XY**2)
+    numerator = URYY * (1.0 - XY**2)
     denominator = (1.0 + XY) ** 4 * (2.0 * XU**2 - XY**2 + 1.0)
     oracle = URYY if method != "general" else (g.dot(r, U) if r is not None else None)
     return {
         "K": numerator / denominator,
-        "XRYY": XRYY,
+        "XRYY": g.dot(X, r) if r is not None else None,
         "URYY": URYY,
         "RYYY": g.dot(Y, r) if r is not None else 0.0,
         "numerator": numerator,
         "denominator": denominator,
         "oracle_URYY": oracle,
     }
+
+
+def paper_numerator(geom, d, flag, method, convention):
+    """The printed numerator 6 <X,R(U,Y)Y> <X,U> + <R(U,Y)Y,U> (1 - <X,Y>^2),
+    with the method's own <X,R(U,Y)Y>: the closed form for general."""
+    g, X = geom.inner, d.X
+    flag = orthonormalize_flag(g, flag.Y, flag.U)
+    if method == "general":
+        XRYY, URYY = ref_puttmann(geom, X, flag.Y, flag.U, convention)
+    else:
+        r = ref_nat_reductive_R(geom.algebra.c, geom.pair.h_dim, flag.U, flag.Y)
+        XRYY, URYY = g.dot(X, r), g.dot(flag.U, r)
+    XY, XU = g.dot(X, flag.Y), g.dot(X, flag.U)
+    return 6.0 * XRYY * XU + URYY * (1.0 - XY**2)
 
 
 def refused(method, convention):
@@ -241,6 +255,10 @@ def test_kernel_matches_einsum_reference(problem):
                     assert got[key] is None, (method, convention, key)
                 else:
                     assert close(got[key], value), (method, convention, key, got[key], value)
+            if geom.drift_parallel(d.X).ok:
+                # the dropped term 6 <X,R(U,Y)Y> <X,U> is zero for a parallel X
+                assert close(paper_numerator(geom, d, flag, method, convention),
+                             rep.numerator), (method, convention)
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,8 +268,7 @@ def test_wrappers_match_einsum_reference(problem):
     g, c, h = geom.inner, geom.algebra.c, geom.pair.h_dim
     fl = orthonormalize_flag(g, flag.Y, flag.U)
     for convention in CONVENTIONS:
-        xryy, uryy = ref_puttmann(geom, d.X, fl.Y, fl.U, convention)
-        assert close(puttmann_XRYY(geom, d.X, fl.Y, fl.U, convention), xryy)
+        uryy = ref_puttmann(geom, d.X, fl.Y, fl.U, convention)[1]
         assert close(puttmann_URYY(geom, fl.Y, fl.U, convention), uryy)
     r = ref_nat_reductive_R(c, h, fl.U, fl.Y)
     got = nat_reductive_R(geom.algebra, geom.pair, fl.U, fl.Y)
@@ -446,15 +463,20 @@ def test_stacked_kernel_matches_einsum_reference_on_every_row(problem, n, conven
                 _Kernel(geom, d, method, convention)
             continue
         kernel = _Kernel(geom, d, method, convention)
-        XRYY, URYY, r = kernel(Y, U)
+        URYY, r = kernel(Y, U)
         K = kernel.K(Y, U)
-        assert XRYY.shape == URYY.shape == K.shape == (n,)
+        reps = kernel.reports(Y, U)
+        assert URYY.shape == K.shape == (n,)
         assert (r is None) == (method == "general")
-        for i, ref in enumerate(refs):
-            assert close(XRYY[i], ref["XRYY"]), (method, i)
+        for i, (ref, rep) in enumerate(zip(refs, reps)):
             assert close(URYY[i], ref["URYY"]), (method, i)
             assert close(K[i], ref["K"]), (method, i)
+            if ref["XRYY"] is None:
+                assert rep.contractions.XRYY is None, (method, i)
+            else:
+                assert close(rep.contractions.XRYY, ref["XRYY"]), (method, i)
             if r is not None:
+                assert close(geom.inner.dot(d.X, r[i]), ref["XRYY"]), (method, i)
                 assert close(geom.inner.dot(Y[i], r[i]), ref["RYYY"]), (method, i)
         # the scan draws the same flags and evaluates them block by block
         s = scan_flags(geom, d, n_samples=n, seed=n, method=method,
@@ -510,3 +532,69 @@ def test_scan_makes_no_per_flag_ad_call(monkeypatch, case):
                    method=method)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+# --- inside the hypotheses: K = psi * kappa (ROADMAP item 1(a)) ---------------
+
+def _block_diag(*blocks):
+    out = np.zeros((sum(len(b) for b in blocks),) * 2)
+    o = 0
+    for b in blocks:
+        out[o:o + len(b), o:o + len(b)] = b
+        o += len(b)
+    return out
+
+
+@st.composite
+def parallel_problems(draw):
+    """A problem inside the paper's hypotheses with X on the line R, parallel:
+    su(2)^k + R (h = 0) with a block-diagonal phi, some blocks bi-invariant,
+    or S^n x R (h = so(n)) with phi = a I_n + b; |X|_g <= 0.9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        c, h = direct_sum(*[su2_tensor()] * k, np.zeros((1, 1, 1))), 0
+        blocks = []
+        for _ in range(k):
+            A = rng.normal(size=(3, 3))
+            blocks.append(rng.uniform(0.5, 2.0) * np.eye(3) if draw(st.booleans())
+                          else 0.5 * np.eye(3) + A @ A.T / 6)
+        phi = _block_diag(*blocks, rng.uniform(0.5, 2.0, (1, 1)))
+    else:
+        n = draw(st.integers(2, 5))
+        c, h = sphere_tensor(n), n * (n - 1) // 2
+        phi = np.diag([rng.uniform(0.5, 2.0)] * n + [rng.uniform(0.5, 2.0)])
+    geom = make_geometry(LieAlgebraSpec(c.shape[0], c), h_dim=h, phi=phi)
+    X = np.zeros(geom.m_dim)
+    X[-1] = draw(st.floats(-0.9, 0.9)) / np.sqrt(geom.inner.g[-1, -1])
+    return geom, FinslerData(g=geom.inner, X=X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(parallel_problems(), st.integers(0, 2**16))
+def test_parallel_drift_gives_K_as_psi_times_kappa(problem, seed):
+    geom, d = problem
+    g, X = geom.inner.g, d.X
+    require(hypotheses(geom, X, "general"))
+    rng = np.random.default_rng(seed)
+    flags = [sample_flag(geom.inner, rng) for _ in range(8)]
+    Y, U = np.array([f.Y for f in flags]), np.array([f.U for f in flags])
+    r = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
+    kappa = np.einsum("ij,ij->i", r @ g, U)
+    tol = 1e-12 * np.maximum(1.0, np.abs(kappa))
+    # (a) <X, R(U,Y)Y> = -<R(U,Y)X, Y> = 0, and J_Y X = R(X,Y)Y = 0
+    assert np.all(np.abs(r @ g @ X) <= tol)
+    assert np.all(np.abs(curvature_oracle(geom.connection, geom.algebra, X, Y, Y))
+                  <= tol[:, None])
+    s, t = Y @ g @ X, U @ g @ X
+    psi_kappa = kappa * (1 - s**2) / ((1 + s) ** 4 * (1 - s**2 + 2 * t**2))
+    for method in ("general", "naturally-reductive"):
+        if method == "naturally-reductive" and not geom.naturally_reductive.ok:
+            with pytest.raises(PreconditionError):
+                _Kernel(geom, d, method, "oracle-aligned")
+            continue
+        kernel = _Kernel(geom, d, method, "oracle-aligned")
+        K = kernel.K(Y, U)
+        assert np.all(np.abs(K - psi_kappa) <= 1e-12 * np.maximum(1.0, np.abs(psi_kappa)))
+        for flag, rep in zip(flags, kernel.reports(Y, U)):
+            assert close(rep.numerator, paper_numerator(geom, d, flag, method, "oracle-aligned"))

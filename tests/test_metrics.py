@@ -7,6 +7,7 @@ from flagcurv import (
     FlagError,
     InnerProduct,
     InputError,
+    LieAlgebraSpec,
     MetricEndomorphism,
     ReductivePair,
     ValidationError,
@@ -14,6 +15,7 @@ from flagcurv import (
     check_bi_invariance,
     check_naturally_reductive,
     inner_from_phi,
+    make_geometry,
     orthonormalize_flag,
 )
 from flagcurv.metrics import _skew_check
@@ -182,6 +184,44 @@ def test_g0_must_be_symmetric():
 def test_g0_must_be_positive_definite():
     with pytest.raises(ValidationError):
         BiInvariantForm(np.diag([1.0, -1.0]))
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+ABELIAN3 = LieAlgebraSpec(3, np.zeros((3, 3, 3)))
+
+
+@NON_FINITE
+def test_g0_must_be_finite(bad):
+    for build in (lambda: BiInvariantForm(np.diag([bad, 1.0, 1.0])),
+                  lambda: make_geometry(ABELIAN3, g0=np.diag([bad, 1.0, 1.0]))):
+        with pytest.raises(InputError, match="^g0 must be finite$"):
+            build()
+
+
+@NON_FINITE
+def test_phi_must_be_finite(bad):
+    form = BiInvariantForm(np.eye(3))
+    for build in (lambda: MetricEndomorphism(phi=np.diag([bad, 1.0, 1.0]), g0=form, h_dim=0),
+                  lambda: make_geometry(ABELIAN3, phi=np.diag([bad, 1.0, 1.0]))):
+        with pytest.raises(InputError, match="^phi must be finite$"):
+            build()
+
+
+@NON_FINITE
+def test_metric_must_be_finite(bad):
+    with pytest.raises(InputError, match="^metric must be finite$"):
+        InnerProduct(np.diag([bad, 1.0]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("y, u", [
+    ([np.nan, 0.0], [0.0, 1.0]),
+    ([1.0, 0.0], [0.0, -np.inf]),
+    ([1e200, 0.0], [0.0, 1.0]),  # finite, but its g-length overflows
+])
+def test_flag_vectors_must_be_finite(y, u):
+    with pytest.raises(InputError, match="^flag vectors must be finite"):
+        orthonormalize_flag(InnerProduct(np.eye(2)), np.array(y), np.array(u))
 
 
 def skew_check_reference(c, g):
