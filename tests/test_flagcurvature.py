@@ -33,8 +33,8 @@ def _xryy_oracle(geom, X, Y, U):
 
 
 class TestPuttmannContractions:
-    # K no longer reads <X,R(U,Y)Y> (zero for a parallel X); the printed
-    # closed form for it lives on as the tests' transcription ref_puttmann.
+    # K does not read <X,R(U,Y)Y>, zero for a parallel X; its printed closed
+    # form is the tests' transcription ref_puttmann, checked against the oracle.
     def test_xryy_verbatim_hand_value(self, su2):
         # su(2), phi = I, X = e2/2, Y = e1, U = e2: terms 3-4 vanish,
         # 1/4<4[U,Y],[Y,X]> + 3/4<[Y,U],[Y,X]> = -1/2 + 3/8
