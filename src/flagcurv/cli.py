@@ -168,18 +168,13 @@ def _gate(config: ProblemConfig, args, method: str | None):
     return geom, data, raw_flags
 
 
-def _options(config: ProblemConfig, args) -> RunOptions:
-    """The config's run options under those of --convention, --method,
-    --samples and --seed that args' subcommand takes, held to its rules."""
-    flags = next(flags for _, fn, flags in _subcommands() if fn is args.func)
-    fields = {"--convention": "sign_convention", "--method": "method",
-              "--samples": "samples", "--seed": "seed"}
-    given = {fields[f]: getattr(args, f[2:]) for f in flags if f in fields}
+def _options(config: ProblemConfig, **given) -> RunOptions:
+    """The config's run options under the command-line values given (None: not given)."""
     return replace(config.options, **{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_curvature(config: ProblemConfig, args) -> int:
-    opts = _options(config, args)
+    opts = _options(config, sign_convention=args.convention, method=args.method)
     convention, method = opts.sign_convention, opts.method
     geom, data, raw_flags = _gate(config, args, method)
     if not raw_flags:
@@ -227,7 +222,8 @@ def cmd_curvature(config: ProblemConfig, args) -> int:
                     ("Y", _vec(flag.Y)),
                     ("U", _vec(flag.U)),
                     ("K", fmt(rep.K)),
-                    ("XRYY", fmt(rep.contractions.XRYY)),
+                    ("XRYY", "n/a" if rep.contractions.XRYY is None
+                     else fmt(rep.contractions.XRYY)),
                     ("URYY", fmt(rep.contractions.URYY)),
                     ("RYYY", fmt(_ryyy(rep))),
                     ("numerator", fmt(rep.numerator)),
@@ -242,7 +238,8 @@ def cmd_curvature(config: ProblemConfig, args) -> int:
 
 
 def cmd_scan(config: ProblemConfig, args) -> int:
-    opts = _options(config, args)
+    opts = _options(config, sign_convention=args.convention, method=args.method,
+                    samples=args.samples, seed=args.seed)
     convention, method = opts.sign_convention, opts.method
     geom, data, _ = _gate(config, args, method)
     summary = scan_flags(
@@ -286,7 +283,7 @@ def cmd_scan(config: ProblemConfig, args) -> int:
 
 
 def cmd_berwald(config: ProblemConfig, args) -> int:
-    opts = _options(config, args)
+    opts = _options(config, samples=args.samples, seed=args.seed)
     geom, data, _ = _gate(config, args, None)
     if geom.pair.h_dim > 0:
         if args.output == "json":

@@ -211,6 +211,25 @@ class TestCurvatureCommand:
             assert code == 3 and out == ""
             assert "ad(h)-invariant" in err
 
+    def test_forced_general_without_curvature_vector_reports_no_XRYY(
+        self, capsys, tmp_path
+    ):
+        # The same metric under --force: general runs its closed form, but
+        # with no Levi-Civita connection there is no R(U,Y)Y to read XRYY from.
+        doc = json.loads((CONFIGS / "su2_u1.json").read_text())
+        doc["phi"] = [[1.0, 0.0], [0.0, 4.0]]
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        args = ("curvature", str(p), "--method", "general", "--force")
+        code, out, _ = run(capsys, *args, "--output", "json")
+        assert code == 0
+        flag = json.loads(out)["flags"][0]
+        assert flag["XRYY"] is None and flag["oracle_URYY"] is None
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert "  XRYY           n/a\n" in out
+        assert out.endswith("  sign_mismatch  None\n")
+
 
 class TestScanCommand:
     def test_constant_curvature(self, capsys):
