@@ -12,7 +12,6 @@ from .algebra import (
     check_reductive,
     derived_subalgebra,
     jacobi_defect,
-    project,
 )
 from .berwald import (
     ObstructionReport,
@@ -53,14 +52,11 @@ from .flagcurvature import (
 )
 from .geometry import HomogeneousGeometry, make_geometry
 from .metrics import (
-    BiInvariantForm,
     Flag,
     InnerProduct,
-    MetricEndomorphism,
     check_ad_h_invariance,
     check_bi_invariance,
     check_naturally_reductive,
-    inner_from_phi,
     orthonormalize_flag,
 )
 from .riemann import (

@@ -162,21 +162,6 @@ def derived_subalgebra(L: LieAlgebraSpec) -> np.ndarray:
     return vt[:rank]
 
 
-def project(R: ReductivePair, x: np.ndarray, part: str) -> np.ndarray:
-    """Coordinate projection onto h or m, returned in full coordinates."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (R.dim,):
-        raise InputError(f"expected vector of length {R.dim}, got shape {x.shape}")
-    out = np.zeros_like(x)
-    if part == "h":
-        out[: R.h_dim] = x[: R.h_dim]
-    elif part == "m":
-        out[R.h_dim:] = x[R.h_dim:]
-    else:
-        raise InputError(f"part must be 'h' or 'm', got {part!r}")
-    return out
-
-
 def check_reductive(L: LieAlgebraSpec, R: ReductivePair) -> ReductiveReport:
     """Verify [h, h] <= h and [h, m] <= m within TOL_HYPOTHESIS."""
     if R.dim != L.dim:

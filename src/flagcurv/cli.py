@@ -118,6 +118,14 @@ def cmd_validate(config: ProblemConfig, args) -> int:
     fin = validate_finsler(data)
     checks.append(("finsler_condition", fin.ok, fin.norm_X, True))
 
+    # geom.connection is the metric's Levi-Civita connection only on a
+    # reductive split with an ad(h)-invariant metric
+    red = geom.reductive
+    if (pair.h_dim > 0 and g.norm(data.X) > 0 and red.subalgebra_ok
+            and red.ad_invariant_ok and geom.ad_h_invariance.ok):
+        dp = geom.drift_parallel(data.X)
+        checks.append(("drift_parallel", dp.ok, dp.max_defect, True))
+
     berwald_status = "not checked"
     if pair.h_dim == 0 and g.norm(data.X) > 0:
         rep = berwald_mod.obstruction_report(geom, data.X)
@@ -184,9 +192,8 @@ def cmd_curvature(config: ProblemConfig, args) -> int:
     reps = kernel.reports(np.array([f.Y for f in flags]), np.array([f.U for f in flags]))
     results = []
     for idx, ((y, u), flag, rep) in enumerate(zip(raw_flags, flags, reps)):
-        normalized = not (
-            np.allclose(flag.Y, y, atol=1e-10) and np.allclose(flag.U, u, atol=1e-10)
-        )
+        normalized = not (np.allclose(flag.Y, y, rtol=0, atol=1e-10)
+                          and np.allclose(flag.U, u, rtol=0, atol=1e-10))
         if normalized and args.output == "table":
             print(f"notice: flag {idx + 1} was re-orthonormalized", file=sys.stderr)
         results.append((idx, flag, normalized, rep))

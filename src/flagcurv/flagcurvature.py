@@ -193,10 +193,10 @@ def _closed_URYY(geom: HomogeneousGeometry, YU: np.ndarray, convention: str) -> 
     the N flags whose Y are stacked over their U in YU, (2N, n) in full
     coordinates.  Term 2 pairs m-projections with the derived metric <.,.>;
     the other terms use <.,.>_0 on the full algebra, as printed."""
-    h, g0, g0_phi_inv = geom.pair.h_dim, geom.g0.g0, geom.g0_phi_inv
+    h, g0, g0_phi_inv = geom.pair.h_dim, geom.g0, geom.g0_phi_inv
     N = len(YU) // 2
     Y, U = YU[:N], YU[N:]
-    pY, pU = np.split(YU @ geom.phi.phi_full.T, 2)
+    pY, pU = np.split(YU @ geom.phi_full.T, 2)
     y_pY, y_pU, u_pY, u_pU, y_U = geom.algebra.brackets(
         np.concatenate((Y, Y, U, U, Y)), np.concatenate((pY, pU, pY, pU, U))
     ).reshape(5, N, -1)

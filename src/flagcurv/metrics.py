@@ -1,13 +1,12 @@
-"""Invariant metric data: bi-invariant form g0, endomorphism phi, and the
-induced inner product <x, y> = <phi x, y>_0 on m, plus the structural
-checks (bi-invariance, ad(h)-invariance, natural reductivity) and flag
+"""The inner product on m, the structural checks of the metric data
+(bi-invariance, ad(h)-invariance, natural reductivity) and flag
 orthonormalization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -16,86 +15,6 @@ from .algebra import TOL_HYPOTHESIS, LieAlgebraSpec, ReductivePair
 from .errors import FlagError, InputError, PreconditionError, ValidationError
 
 TOL_DEP = 1e-12
-
-
-@dataclass(frozen=True)
-class BiInvariantForm:
-    """Symmetric positive-definite form on the full algebra.
-
-    Bi-invariance itself is a property of the pair (algebra, form) and is
-    checked separately by check_bi_invariance; construction only enforces
-    symmetry and positive-definiteness.
-    """
-
-    g0: np.ndarray
-
-    def __post_init__(self):
-        g0 = np.asarray(self.g0, dtype=float)
-        if g0.ndim != 2 or g0.shape[0] != g0.shape[1]:
-            raise InputError(f"g0 must be square, got shape {g0.shape}")
-        if not np.isfinite(g0).all():
-            raise InputError("g0 must be finite")
-        if not np.array_equal(g0, g0.T):
-            raise ValidationError("g0 is not symmetric")
-        eig_min = float(np.linalg.eigvalsh(g0)[0])
-        if eig_min <= 0:
-            raise ValidationError(
-                f"g0 is not positive-definite (min eigenvalue {eig_min:g})"
-            )
-        g0 = g0.copy()
-        g0.setflags(write=False)
-        object.__setattr__(self, "g0", g0)
-
-    @property
-    def dim(self) -> int:
-        return self.g0.shape[0]
-
-
-@dataclass(frozen=True)
-class MetricEndomorphism:
-    """phi on m with <x,y> = <phi x, y>_0; extended by identity on h.
-
-    phi must be self-adjoint and positive-definite with respect to g0
-    restricted to m.  The inverse is factored once at construction.
-    """
-
-    phi: np.ndarray
-    g0: BiInvariantForm
-    h_dim: int
-    phi_full: np.ndarray = field(init=False)
-    phi_inv_full: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        m_dim = self.g0.dim - self.h_dim
-        if phi.shape != (m_dim, m_dim):
-            raise InputError(
-                f"phi must be {m_dim}x{m_dim} (metric on m), got {phi.shape}"
-            )
-        if not np.isfinite(phi).all():
-            raise InputError("phi must be finite")
-        g0m = self.g0.g0[self.h_dim:, self.h_dim:]
-        sym_defect = float(np.max(np.abs(g0m @ phi - phi.T @ g0m))) if m_dim else 0.0
-        if sym_defect > TOL_HYPOTHESIS:
-            raise ValidationError(
-                f"phi is not self-adjoint w.r.t. g0 (defect {sym_defect:g})"
-            )
-        if m_dim:
-            eig_min = float(np.linalg.eigvalsh(0.5 * (g0m @ phi + phi.T @ g0m))[0])
-            if eig_min <= 0:
-                raise ValidationError(
-                    f"phi is not positive-definite w.r.t. g0 "
-                    f"(min eigenvalue {eig_min:g})"
-                )
-        phi = phi.copy()
-        phi.setflags(write=False)
-        full = np.eye(self.g0.dim)
-        full[self.h_dim:, self.h_dim:] = phi
-        inv_full = np.eye(self.g0.dim)
-        inv_full[self.h_dim:, self.h_dim:] = np.linalg.inv(phi)
-        for name, arr in (("phi", phi), ("phi_full", full), ("phi_inv_full", inv_full)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -161,14 +80,6 @@ def require(reports) -> None:
             raise PreconditionError(f"{words} (defect {rep.max_defect:g})")
 
 
-def inner_from_phi(g0: BiInvariantForm, phi: MetricEndomorphism) -> InnerProduct:
-    """Matrix of <x,y> = <phi x, y>_0 on m."""
-    if phi.g0 is not g0 and not np.array_equal(phi.g0.g0, g0.g0):
-        raise InputError("phi was constructed against a different g0")
-    g0m = g0.g0[phi.h_dim:, phi.h_dim:]
-    return InnerProduct(g0m @ phi.phi)
-
-
 def _skew_check(c: np.ndarray, g: np.ndarray) -> CheckReport:
     """max |<[z,x],y> + <x,[z,y]>| over basis vectors z, x, y, where
     c[z, x, :] = [z, x] in the coordinates of the space g lives on: each
@@ -182,7 +93,7 @@ def _skew_check(c: np.ndarray, g: np.ndarray) -> CheckReport:
 
 def check_bi_invariance(L: LieAlgebraSpec, g0: np.ndarray) -> CheckReport:
     """Defect of <[z,x],y>_0 + <x,[z,y]>_0 = 0 over all basis triples; g0
-    must be symmetric, as BiInvariantForm requires (InputError)."""
+    must be symmetric, as HomogeneousGeometry requires (InputError)."""
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (L.dim, L.dim):
         raise InputError("g0 shape does not match algebra dimension")

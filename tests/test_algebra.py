@@ -12,7 +12,6 @@ from flagcurv import (
     check_reductive,
     derived_subalgebra,
     jacobi_defect,
-    project,
 )
 from flagcurv.algebra import TOL_HYPOTHESIS
 from conftest import (
@@ -214,29 +213,7 @@ def test_derived_subalgebra_abelian(abelian3):
 
 def test_project_su2_u1(su2_u1):
     # adapted basis (e3, e1, e2): [f2, f3] = f1 lies in h
-    pair = ReductivePair(dim=3, h_dim=1)
-    b = bracket(su2_u1, E3[1], E3[2])
-    assert np.allclose(project(pair, b, "h"), E3[0])
-    assert np.allclose(project(pair, b, "m"), np.zeros(3))
-
-
-def test_project_idempotent_and_partition():
-    rng = np.random.default_rng(2)
-    pair = ReductivePair(dim=5, h_dim=2)
-    for _ in range(10):
-        x = rng.normal(size=5)
-        ph = project(pair, x, "h")
-        pm = project(pair, x, "m")
-        assert np.array_equal(ph + pm, x)
-        assert np.array_equal(project(pair, ph, "h"), ph)
-        assert np.array_equal(project(pair, pm, "m"), pm)
-
-
-def test_project_trivial_h():
-    pair = ReductivePair(dim=3, h_dim=0)
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(project(pair, x, "h"), np.zeros(3))
-    assert np.array_equal(project(pair, x, "m"), x)
+    assert np.allclose(bracket(su2_u1, E3[1], E3[2]), E3[0])
 
 
 def test_check_reductive_su2_u1(su2_u1):

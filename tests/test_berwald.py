@@ -122,6 +122,12 @@ class TestObstructionReport:
             assert geom.drift_parallel(X).max_defect == rep.nabla_X_norm
 
 
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_drift_of_the_wrong_length_refused(self, su2_plus_r, length):
+        with pytest.raises(InputError, match="^drift vector must have length m = 4$"):
+            make_geometry(su2_plus_r).drift_parallel(np.zeros(length))
+
+
 class TestSectionalAlongX:
     def test_central_drift_all_zero(self, su2_plus_r):
         rep = sectional_along_X_sign(make_geometry(su2_plus_r), 0.5 * E4[3],

@@ -10,7 +10,7 @@ import pytest
 import flagcurv
 from flagcurv.cli import _ryyy, build_parser, main
 from flagcurv.config import build_problem, config_from_dict, parse_config, structure_tensor
-from flagcurv.errors import InputError
+from flagcurv.errors import InputError, NumericError
 from flagcurv.flagcurvature import hypotheses
 from test_kernel import _count
 from conftest import heisenberg_tensor, sphere_tensor, su2_tensor
@@ -158,6 +158,27 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", "/nonexistent.json")
         assert code == 1
 
+    @pytest.mark.parametrize("X, code, ok, defect", [
+        ([0.2, 0.0, 0.0], 2, False, 0.2),  # |Lambda(e_2) X| = 0.2: curvature refuses it
+        ([0.0, 0.0, 0.2], 0, True, 0.0),  # along R: central and parallel
+    ])
+    def test_drift_parallel_row_at_positive_h_dim(self, capsys, tmp_path, X, code, ok,
+                                                  defect):
+        # S^2 x R with phi = I is ad(h)-invariant, so the drift is checked
+        doc = json.loads((GOLDEN / "input_s2_r_coupled.json").read_text())
+        doc["phi"], doc["X"] = np.eye(3).tolist(), X
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        got, out, _ = run(capsys, "validate", str(p), "--output", "json")
+        assert got == code
+        rows = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert rows["drift_parallel"] == {"name": "drift_parallel", "ok": ok,
+                                          "value": defect, "hard": True}
+        if not ok:  # validate refuses what curvature refuses
+            for method in ("general", "naturally-reductive", "bi-invariant"):
+                assert run(capsys, "curvature", str(p), "--method", method) == (
+                    3, "", "precondition error: drift X is not parallel (defect 0.2)\n")
+
 
 class TestCurvatureCommand:
     def test_su2_table(self, capsys):
@@ -182,6 +203,21 @@ class TestCurvatureCommand:
         assert ks[0] == pytest.approx(0.25)
         assert ks[1] == pytest.approx(0.1)
         assert doc["flags"][1]["orthonormalized"] is True
+
+    def test_small_rescaling_is_reported(self, capsys, tmp_path):
+        # Y is 1e-6 off unit length, inside allclose's default relative
+        # tolerance; the printed Y is rescaled, so the flag was changed
+        doc = json.loads((CONFIGS / "su2.json").read_text())
+        doc["flags"] = [[[1.000001, 0.0, 0.0], [0.0, 1.0, 0.0]]]
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "curvature", str(p), "--output", "json")
+        flag = json.loads(out)["flags"][0]
+        assert code == 0 and flag["Y"] == [1.0, 0.0, 0.0]
+        assert flag["orthonormalized"] is True
+        code, out, err = run(capsys, "curvature", str(p))
+        assert code == 0 and "  Y              [1, 0, 0]\n" in out
+        assert err == "notice: flag 1 was re-orthonormalized\n"
 
     def test_verbatim_convention(self, capsys):
         code, out, _ = run(capsys, "curvature", str(CONFIGS / "su2.json"),
@@ -572,6 +608,11 @@ class TestGoldenOutput:
         got = run(capsys, "curvature", str(CONFIGS / "su2_plus_r.json"))
         assert got[:2] == (0, (GOLDEN / "curvature_su2_plus_r.txt").read_text())
 
+    @pytest.mark.parametrize("command", ["validate", "scan", "berwald"])
+    def test_default_table(self, capsys, command):
+        got = run(capsys, command, str(CONFIGS / "su2_plus_r.json"))
+        assert got[:2] == (0, (GOLDEN / f"{command}_su2_plus_r.txt").read_text())
+
     @pytest.mark.parametrize("name", ["su2_plus_r", "heisenberg", "su2_u1"])
     def test_berwald(self, capsys, name):
         got = run(capsys, "berwald", str(CONFIGS / f"{name}.json"), "--output", "json")
@@ -645,6 +686,15 @@ def test_each_subcommand_accepts_only_the_flags_its_command_reads(capsys):
         "scan": {"--output", "--convention", "--method", "--samples", "--seed", "--force"},
         "berwald": {"--output", "--samples", "--seed", "--force"},
     }
+
+
+def test_numeric_error_exits_4(monkeypatch, capsys):
+    def fail(config, args):
+        raise NumericError("K overflowed")
+
+    monkeypatch.setattr(flagcurv.cli, "cmd_curvature", fail)
+    got = run(capsys, "curvature", str(CONFIGS / "su2.json"))
+    assert got == (4, "", "numeric error: K overflowed\n")
 
 
 def test_usage_error_exits_1(capsys):

@@ -5,6 +5,7 @@ from flagcurv import (
     FinslerData,
     FlagError,
     InnerProduct,
+    InputError,
     LieAlgebraSpec,
     PreconditionError,
     curvature_oracle,
@@ -183,6 +184,12 @@ class TestFlagCurvature:
         with pytest.raises(PreconditionError):
             flag_curvature(geom, d, Flag(Y=E3[0], U=E3[1]))
 
+    @pytest.mark.parametrize("g", [2.0 * np.eye(3), np.eye(2)])
+    def test_metric_of_another_geometry_refused(self, su2, g):
+        d = FinslerData(g=InnerProduct(g), X=np.zeros(len(g)))
+        with pytest.raises(InputError, match="^FinslerData metric does not match"):
+            flag_curvature(make_geometry(su2), d, Flag(Y=E3[0], U=E3[1]))
+
     def test_biinvariant_method_needs_biinvariant_metric(self, heisenberg):
         geom = make_geometry(heisenberg)
         d = FinslerData(g=geom.inner, X=np.zeros(3))
@@ -191,6 +198,11 @@ class TestFlagCurvature:
 
 
 class TestBiinvariantCorollary:
+    def test_metric_on_a_proper_subspace_refused(self, su2_plus_r):
+        with pytest.raises(PreconditionError, match="needs trivial isotropy"):
+            flag_curvature_biinvariant(su2_plus_r, InnerProduct(np.eye(3)), np.zeros(3),
+                                       Flag(Y=E3[0], U=E3[1]))
+
     @pytest.mark.parametrize("norm", [1.0, 1.5])
     def test_drift_outside_the_finsler_domain_rejected(self, su2_plus_r, norm):
         g = InnerProduct(np.eye(4))
@@ -272,7 +284,20 @@ class TestNumeratorIdentity:
                 numerator_identity_check(d, Flag(Y=Y, U=U), r, gy_source=source)
 
 
+    def test_unknown_gy_source_refused(self, su2):
+        d = FinslerData(g=InnerProduct(np.eye(3)), X=np.zeros(3))
+        with pytest.raises(InputError, match="^gy_source must be 'closed' or 'fd'"):
+            numerator_identity_check(d, Flag(Y=E3[0], U=E3[1]), E3[2], gy_source="exact")
+
+
 class TestScan:
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_no_samples_refused(self, su2, n_samples):
+        geom = make_geometry(su2)
+        d = FinslerData(g=geom.inner, X=np.zeros(3))
+        with pytest.raises(InputError, match="^n_samples must be positive$"):
+            scan_flags(geom, d, n_samples=n_samples, seed=0)
+
     @pytest.mark.parametrize("h_dim", [0, 3], ids=["m_dim=1", "h_dim=dim"])
     def test_no_flags_without_two_dimensions(self, su2, h_dim):
         # a dim-1 algebra leaves m_dim = 1; su(2) with h_dim = 3 leaves 0

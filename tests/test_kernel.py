@@ -60,8 +60,9 @@ def ref_project(h, x, part):
 def ref_puttmann(geom, X, Y, U, convention):
     """(<X,R(U,Y)Y>, <R(U,Y)Y,U>) from the printed closed forms."""
     c, h = geom.algebra.c, geom.pair.h_dim
-    g0, G = geom.g0.g0, geom.inner.g
-    phi, phi_inv = geom.phi.phi_full, geom.phi.phi_inv_full
+    g0, G = geom.g0, geom.inner.g
+    phi = geom.phi_full
+    phi_inv = np.linalg.inv(phi)
     Xf, Yf, Uf = (geom.pair.embed_m(v) for v in (X, Y, U))
     b = lambda a, d: ref_bracket(c, a, d)
     dot0 = lambda a, d: float(a @ g0 @ d)

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagcurv import (
-    BiInvariantForm,
     FlagError,
+    HomogeneousGeometry,
     InnerProduct,
     InputError,
     LieAlgebraSpec,
-    MetricEndomorphism,
     ReductivePair,
     ValidationError,
     check_ad_h_invariance,
     check_bi_invariance,
     check_naturally_reductive,
-    inner_from_phi,
     make_geometry,
     orthonormalize_flag,
 )
@@ -22,10 +20,12 @@ from flagcurv.metrics import _skew_check
 from test_algebra import structure_tensors
 
 
+def abelian(n):
+    return LieAlgebraSpec(n, np.zeros((n, n, n)))
+
+
 def make_metric(g0, phi, h_dim=0):
-    form = BiInvariantForm(np.asarray(g0, dtype=float))
-    endo = MetricEndomorphism(phi=np.asarray(phi, dtype=float), g0=form, h_dim=h_dim)
-    return inner_from_phi(form, endo)
+    return make_geometry(abelian(len(g0)), h_dim, g0=g0, phi=phi).inner
 
 
 class TestInnerFromPhi:
@@ -42,21 +42,17 @@ class TestInnerFromPhi:
         assert np.allclose(g.g, 2 * np.eye(3))
 
     def test_non_self_adjoint_phi_rejected(self):
-        form = BiInvariantForm(np.eye(2))
         with pytest.raises(ValidationError):
-            MetricEndomorphism(phi=np.array([[1.0, 1.0], [0.0, 1.0]]),
-                               g0=form, h_dim=0)
+            make_metric(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_non_positive_phi_rejected(self):
-        form = BiInvariantForm(np.eye(2))
         with pytest.raises(ValidationError):
-            MetricEndomorphism(phi=np.diag([1.0, -2.0]), g0=form, h_dim=0)
+            make_metric(np.eye(2), np.diag([1.0, -2.0]))
 
-    @pytest.mark.parametrize("name", ["phi_inv", "phi_full", "phi_inv_full"])
+    @pytest.mark.parametrize("name", ["pair", "phi_full", "inner"])
     def test_derived_matrices_are_not_arguments(self, name):
-        form = BiInvariantForm(np.eye(2))
         with pytest.raises(TypeError):
-            MetricEndomorphism(phi=np.eye(2), g0=form, h_dim=0, **{name: np.eye(2)})
+            HomogeneousGeometry(abelian(2), 0, np.eye(2), np.eye(2), **{name: np.eye(2)})
 
     def test_spd_output_random(self):
         rng = np.random.default_rng(0)
@@ -178,33 +174,34 @@ class TestOrthonormalizeFlag:
 
 def test_g0_must_be_symmetric():
     with pytest.raises(ValidationError):
-        BiInvariantForm(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        make_geometry(abelian(2), g0=np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+def test_g0_is_checked_against_the_algebra_first(su2_plus_r):
+    # phi defaults to the identity on m of the algebra, so a wrong g0 is named
+    with pytest.raises(InputError, match=r"^g0 must be 4x4 \(form on the algebra\), got \(3, 3\)$"):
+        make_geometry(su2_plus_r, g0=np.eye(3))
 
 
 def test_g0_must_be_positive_definite():
     with pytest.raises(ValidationError):
-        BiInvariantForm(np.diag([1.0, -1.0]))
+        make_geometry(abelian(2), g0=np.diag([1.0, -1.0]))
 
 
 NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-ABELIAN3 = LieAlgebraSpec(3, np.zeros((3, 3, 3)))
+ABELIAN3 = abelian(3)
 
 
 @NON_FINITE
 def test_g0_must_be_finite(bad):
-    for build in (lambda: BiInvariantForm(np.diag([bad, 1.0, 1.0])),
-                  lambda: make_geometry(ABELIAN3, g0=np.diag([bad, 1.0, 1.0]))):
-        with pytest.raises(InputError, match="^g0 must be finite$"):
-            build()
+    with pytest.raises(InputError, match="^g0 must be finite$"):
+        make_geometry(ABELIAN3, g0=np.diag([bad, 1.0, 1.0]))
 
 
 @NON_FINITE
 def test_phi_must_be_finite(bad):
-    form = BiInvariantForm(np.eye(3))
-    for build in (lambda: MetricEndomorphism(phi=np.diag([bad, 1.0, 1.0]), g0=form, h_dim=0),
-                  lambda: make_geometry(ABELIAN3, phi=np.diag([bad, 1.0, 1.0]))):
-        with pytest.raises(InputError, match="^phi must be finite$"):
-            build()
+    with pytest.raises(InputError, match="^phi must be finite$"):
+        make_geometry(ABELIAN3, phi=np.diag([bad, 1.0, 1.0]))
 
 
 @NON_FINITE

@@ -6,6 +6,7 @@ import flagcurv.riemann
 from flagcurv import (
     FlagError,
     InnerProduct,
+    InputError,
     LieAlgebraSpec,
     PreconditionError,
     ReductivePair,
@@ -39,6 +40,10 @@ class TestKoszul:
         conn = koszul_connection(su2, InnerProduct(np.eye(3)))
         assert np.allclose(conn.nabla(E3[0], E3[1]), 0.5 * E3[2])
         assert np.allclose(conn.nabla(E3[0], E3[0]), 0.0)
+
+    def test_metric_larger_than_the_algebra_refused(self, su2):
+        with pytest.raises(InputError, match="^metric dimension 4 exceeds algebra dimension 3$"):
+            koszul_connection(su2, InnerProduct(np.eye(4)))
 
     def test_h_dim_nonzero_is_the_nomizu_map(self, su2_u1):
         # su(2)/u(1) with g = I is the round sphere of curvature 1
@@ -193,6 +198,13 @@ class TestSectional:
         conn = koszul_connection(su2, g)
         with pytest.raises(FlagError):
             sectional(su2, g, conn, E3[0], 3.0 * E3[0])
+
+    @pytest.mark.parametrize("x, u", [(E4[0], E3[1]), (E3[0], E4[1]),
+                                      (E3[0], np.zeros((2, 2, 3)))])
+    def test_vectors_of_the_wrong_length_refused(self, su2, x, u):
+        g = InnerProduct(np.eye(3))
+        with pytest.raises(InputError, match="^vectors must have length 3$"):
+            sectional(su2, g, koszul_connection(su2, g), x, u)
 
     @pytest.mark.parametrize("N", [0, 2, 4, 9])
     def test_a_stack_matches_one_call_per_row(self, heisenberg, N):
