@@ -21,7 +21,7 @@ TOL_HYPOTHESIS = 1e-9
 TOL_RANK = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebraSpec:
     """Structure-constants description of a Lie algebra.
 

@@ -21,7 +21,7 @@ from .metrics import CheckReport, InnerProduct, _skew_check
 from .riemann import sectional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectionalSignReport:
     min_K: float
     max_K: float
@@ -29,7 +29,7 @@ class SectionalSignReport:
     witnesses: tuple[tuple[np.ndarray, float], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObstructionReport:
     perfect: bool
     parallel_space: np.ndarray  # rows form a g-orthonormal basis

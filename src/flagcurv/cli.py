@@ -358,7 +358,9 @@ def _subcommands():
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Given a command, only that subcommand gets its arguments; the others
+    are registered by name, so usage and errors read as with all of them built."""
     parser = _Parser(
         prog="flagcurv",
         description=(
@@ -380,6 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "is still refused"},
     }
     for name, fn, flags in _subcommands():
+        if command not in (None, name):
+            sub.add_parser(name, add_help=False)  # never parses: usage shows only its name
+            continue
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON problem config")
         for flag in flags:
@@ -389,8 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser has only -h, so argv[0] alone can name the subcommand
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         config = parse_config(args.config)
         return args.func(config, args)

@@ -69,8 +69,12 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    """A finite JSON number; json also parses NaN, Infinity and true/false."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite JSON number; json also parses NaN, Infinity, true/false and
+    integers too large for a float, on which math.isfinite raises."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _as_matrix(raw, rows: int, cols: int, name: str) -> tuple:
@@ -179,9 +183,11 @@ def config_from_dict(doc: dict) -> ProblemConfig:
 def parse_config(path: str | Path) -> ProblemConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")  # JSON text is UTF-8 (RFC 8259)
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config file {path} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

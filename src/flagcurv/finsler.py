@@ -23,7 +23,7 @@ TOL_FLAG = 1e-10
 DEFAULT_FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinslerData:
     """Inner product on m plus the drift vector X (m-coordinates).
 

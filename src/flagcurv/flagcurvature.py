@@ -57,7 +57,7 @@ class CurvatureReport:
     sign_mismatch: bool | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanSummary:
     n_samples: int
     seed: int

@@ -20,7 +20,7 @@ from .metrics import (
 from .riemann import ConnectionTable, koszul_connection
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomogeneousGeometry:
     """A homogeneous space G/H at the Lie-algebra level, with the metric data
     of alpha: a symmetric positive-definite form g0 on the algebra and phi on

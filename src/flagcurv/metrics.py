@@ -17,7 +17,7 @@ from .errors import FlagError, InputError, PreconditionError, ValidationError
 TOL_DEP = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerProduct:
     """Symmetric positive-definite inner product on m (matrix form)."""
 
@@ -59,7 +59,7 @@ class InnerProduct:
         return v @ np.diag(1.0 / np.sqrt(w)) @ v.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Flag:
     """g-orthonormal pair (Y, U) in m; Y is the flagpole."""
 

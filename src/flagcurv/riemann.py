@@ -27,7 +27,7 @@ from .metrics import InnerProduct, check_naturally_reductive, require
 TOL_ORACLE = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionTable:
     """gamma[i, j, :] = nabla_{e_i} e_j, the Nomizu map in the basis of m."""
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import sys
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -58,6 +59,15 @@ class TestParseConfig:
         with pytest.raises(InputError, match="line 1"):
             parse_config(p)
 
+    def test_file_that_is_not_utf8_is_refused(self, capsys, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_bytes(b"\xff\xfe" + json.dumps({"dim": 3}).encode("utf-16-le"))
+        with pytest.raises(InputError, match="not UTF-8"):
+            parse_config(p)
+        code, out, err = run(capsys, "validate", str(p))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config file {p} is not UTF-8 text")
+
     def test_mirror_entry_builds_the_same_tensor(self):
         doc = {"dim": 3, "structure_constants": [[1, 2, 3, 1.0]]}
         both = {"dim": 3, "structure_constants": [[1, 2, 3, 1.0], [2, 1, 3, -1.0]]}
@@ -83,6 +93,17 @@ NUMERIC_FIELDS = [("dim",), ("h_dim",), ("structure_constants", 0, 0),
                   ("options", "samples")]
 
 
+def _numeric_doc_with(tmp_path, field, value) -> str:
+    """Write NUMERIC_DOC with the entry at the path field set to value."""
+    doc = json.loads(json.dumps(NUMERIC_DOC))
+    *parents, last = field
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return TestGate.write(tmp_path, doc)
+
+
 class TestConfigNumbers:
     def test_the_document_is_accepted_as_written(self, capsys, tmp_path):
         assert run(capsys, "validate", TestGate.write(tmp_path, NUMERIC_DOC))[0] == 0
@@ -91,16 +112,22 @@ class TestConfigNumbers:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True],
                              ids=["NaN", "Infinity", "-Infinity", "true"])
     def test_non_finite_or_boolean_refused(self, capsys, tmp_path, field, bad):
-        doc = json.loads(json.dumps(NUMERIC_DOC))
-        *parents, last = field
-        target = doc
-        for key in parents:
-            target = target[key]
-        target[last] = bad
-        path = TestGate.write(tmp_path, doc)
+        path = _numeric_doc_with(tmp_path, field, bad)
         assert run(capsys, "validate", path)[:2] == (1, "")
         with pytest.raises(InputError):
             parse_config(path)
+
+    # dim, h_dim, the indices, seed and samples are integers: a huge but
+    # representable value there is refused by a range or shape check
+    @pytest.mark.parametrize("field", [("structure_constants", 0, 3), ("g0", 0, 1),
+                                       ("phi", 1, 1), ("X", 0), ("flags", 0, 0, 1),
+                                       ("flags", 0, 1, 0)],
+                             ids=lambda f: "/".join(map(str, f)))
+    @pytest.mark.parametrize("huge", [10**400, -10**400], ids=["1e400", "-1e400"])
+    def test_integer_too_large_for_a_float_refused(self, capsys, tmp_path, field, huge):
+        code, out, err = run(capsys, "validate", _numeric_doc_with(tmp_path, field, huge))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "finite number" in err
 
     @pytest.mark.parametrize("command", ["validate", "curvature", "scan", "berwald"])
     def test_nan_in_phi_is_refused_by_every_command(self, capsys, tmp_path, command):
@@ -686,6 +713,65 @@ def test_each_subcommand_accepts_only_the_flags_its_command_reads(capsys):
         "scan": {"--output", "--convention", "--method", "--samples", "--seed", "--force"},
         "berwald": {"--output", "--samples", "--seed", "--force"},
     }
+
+
+SU2_PLUS_R = str(CONFIGS / "su2_plus_r.json")
+# Usage and help, bad commands, flags a subcommand does not read, bad
+# values, and one real run per subcommand and format.
+PARSER_ARGVS = [
+    [], ["-h"], ["--", "validate", SU2_PLUS_R], ["frobnicate", SU2_PLUS_R],
+    *([command, "--help"] for command in ("validate", "curvature", "scan", "berwald")),
+    ["validate"], ["validate", SU2_PLUS_R, "--method", "general"],
+    ["berwald", SU2_PLUS_R, "--convention", "paper-verbatim"],
+    ["curvature", SU2_PLUS_R, "--method", "frobnicate"],
+    ["scan", SU2_PLUS_R, "--output", "xml"], ["scan", SU2_PLUS_R, "--samples", "0"],
+    ["scan", SU2_PLUS_R, "--seed", "x"],
+    *([command, SU2_PLUS_R, "--output", output]
+      for command in ("validate", "curvature", "scan", "berwald")
+      for output in ("json", "table")),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(
+    a.replace(SU2_PLUS_R, "su2_plus_r.json") for a in argv) or "no-arguments")
+def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    got = outcome()
+    full = flagcurv.cli.build_parser
+    monkeypatch.setattr(flagcurv.cli, "build_parser", lambda command=None: full())
+    assert got == outcome()
+
+
+@pytest.mark.parametrize("command", ["validate", "curvature", "scan", "berwald"])
+def test_main_builds_the_arguments_of_its_own_subcommand_only(monkeypatch, capsys,
+                                                              command):
+    built, full = [], flagcurv.cli.build_parser
+    monkeypatch.setattr(flagcurv.cli, "build_parser",
+                        lambda *args: built.append(full(*args)) or built[-1])
+    assert main([command, SU2_PLUS_R, "--output", "json"]) == 0
+    (subparsers,) = [a for a in built.pop()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in subparsers.choices.items():
+        dests = {a.dest for a in parser._actions} - {"help"}
+        if name == command:
+            assert "config" in dests
+            assert parser.get_default("func") is getattr(flagcurv.cli, f"cmd_{command}")
+        else:
+            assert dests == set() and parser.get_default("func") is None
+    assert not built
+
+
+def test_main_reads_the_process_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["flagcurv", "validate", SU2_PLUS_R, "--output", "json"])
+    assert main() == 0
+    assert capsys.readouterr().out == (GOLDEN / "validate_su2_plus_r.json").read_text()
 
 
 def test_numeric_error_exits_4(monkeypatch, capsys):

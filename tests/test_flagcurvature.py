@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,13 @@ from flagcurv import (
     koszul_connection,
     make_geometry,
     numerator_identity_check,
+    obstruction_report,
     orthonormalize_flag,
     puttmann_URYY,
     sample_flag,
     scan_flags,
     sectional,
+    sectional_along_X_sign,
 )
 from flagcurv.metrics import Flag
 from test_kernel import ref_puttmann
@@ -371,3 +375,18 @@ class TestScan:
         want = orthonormalize_flag(g, g.inv_sqrt @ rows[2], g.inv_sqrt @ rows[3])
         assert rng.count == 4
         assert np.array_equal(flag.Y, want.Y) and np.array_equal(flag.U, want.U)
+
+
+def test_array_holders_compare_by_identity(su2_plus_r):
+    # a generated __eq__ compares the fields as a tuple, which raises on arrays
+    geom = make_geometry(su2_plus_r)
+    d = FinslerData(g=geom.inner, X=0.5 * E4[3])
+    summary = scan_flags(geom, d, n_samples=5, seed=0)
+    holders = [geom.algebra, geom, geom.inner, d, summary.argmin_flag, geom.connection,
+               obstruction_report(geom, d.X),
+               sectional_along_X_sign(geom, d.X, n_samples=5, seed=0), summary]
+    assert len({type(obj) for obj in holders}) == len(holders)
+    for obj in holders:
+        twin = copy.copy(obj)
+        assert obj == obj and obj != twin
+        assert hash(obj) == hash(obj) and len({obj, twin}) == 2
