@@ -141,6 +141,8 @@ def sectional_along_X_sign(
         raise FlagError("flags need m_dim >= 2")
     if n_samples < 1:
         raise InputError("n_samples must be positive")
+    if 8 * n_samples * L.dim > np.iinfo(np.intp).max:  # numpy refuses the draws
+        raise InputError(f"n_samples = {n_samples} is too large to allocate")
     if g.norm(X) == 0.0:
         raise InputError("X must be nonzero")
     Xu = X / g.norm(X)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -57,7 +58,7 @@ def _round_floats(obj):
     """Normalize every float to 12 significant digits for stable output;
     JSON has no NaN or Infinity, so a non-finite float becomes null."""
     if isinstance(obj, float):
-        return float(fmt(obj)) if np.isfinite(obj) else None
+        return float(fmt(obj)) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -348,19 +349,42 @@ def cmd_berwald(config: ProblemConfig, args) -> int:
 
 
 def _subcommands():
-    """(name, command, flags) of each subcommand: it accepts only the flags its command reads."""
-    return (
-        ("validate", cmd_validate, ("--output",)),
-        ("curvature", cmd_curvature, ("--output", "--convention", "--method", "--force")),
-        ("scan", cmd_scan, ("--output", "--convention", "--method", "--samples", "--seed",
+    """{name: (command, flags)}: each subcommand accepts only the flags its command reads."""
+    return {
+        "validate": (cmd_validate, ("--output",)),
+        "curvature": (cmd_curvature, ("--output", "--convention", "--method", "--force")),
+        "scan": (cmd_scan, ("--output", "--convention", "--method", "--samples", "--seed",
                             "--force")),
-        ("berwald", cmd_berwald, ("--output", "--samples", "--seed", "--force")),
-    )
+        "berwald": (cmd_berwald, ("--output", "--samples", "--seed", "--force")),
+    }
+
+
+_OPTIONS = {
+    "--output": {"choices": ("table", "json"), "default": "table"},
+    "--convention": {"choices": CONVENTIONS},
+    "--method": {"choices": METHODS},
+    "--samples": {"type": int},
+    "--seed": {"type": int},
+    "--force": {"action": "store_true",
+                "help": "skip the structure and hypothesis gate; what the formula "
+                        "needs (|X|_g < 1, a reductive split, the method's metric) "
+                        "is still refused"},
+}
+
+
+def _with_arguments(parser: argparse.ArgumentParser, fn, flags) -> argparse.ArgumentParser:
+    parser.add_argument("config", help="path to a JSON problem config")
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
+    parser.set_defaults(func=fn)
+    return parser
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Given a command, only that subcommand gets its arguments; the others
-    are registered by name, so usage and errors read as with all of them built."""
+    """The full parser; given a command, that subcommand's parser alone, built
+    as the full parser builds it, so its usage, help and errors read the same."""
+    if command is not None:
+        return _with_arguments(_Parser(prog=f"flagcurv {command}"), *_subcommands()[command])
     parser = _Parser(
         prog="flagcurv",
         description=(
@@ -370,34 +394,25 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    options = {
-        "--output": {"choices": ("table", "json"), "default": "table"},
-        "--convention": {"choices": CONVENTIONS},
-        "--method": {"choices": METHODS},
-        "--samples": {"type": int},
-        "--seed": {"type": int},
-        "--force": {"action": "store_true",
-                    "help": "skip the structure and hypothesis gate; what the formula "
-                            "needs (|X|_g < 1, a reductive split, the method's metric) "
-                            "is still refused"},
-    }
-    for name, fn, flags in _subcommands():
-        if command not in (None, name):
-            sub.add_parser(name, add_help=False)  # never parses: usage shows only its name
-            continue
-        p = sub.add_parser(name)
-        p.add_argument("config", help="path to a JSON problem config")
-        for flag in flags:
-            p.add_argument(flag, **options[flag])
-        p.set_defaults(func=fn)
+    for name, (fn, flags) in _subcommands().items():
+        _with_arguments(sub.add_parser(name), fn, flags)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The subcommand argv[0] names parses alone (the top-level parser has only -h); the
+    full parser takes any other call, and leftover arguments, and prints the errors."""
+    if argv and argv[0] in _subcommands():
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the top-level parser has only -h, so argv[0] alone can name the subcommand
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_args(argv)
     try:
         config = parse_config(args.config)
         return args.func(config, args)

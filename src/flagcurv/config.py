@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,6 +78,17 @@ def _is_real(x) -> bool:
         return False
 
 
+def _all_real(xs) -> bool:
+    """all(map(_is_real, xs)) in C when all are int or float: fsum is finite only if
+    each entry is, and raises where a huge int or an overflow needs the slow check."""
+    if set(map(type, xs)) <= {int, float}:
+        try:
+            return math.isfinite(math.fsum(xs))
+        except (OverflowError, ValueError):
+            pass
+    return all(map(_is_real, xs))
+
+
 def _as_matrix(raw, rows: int, cols: int, name: str) -> tuple:
     _require(isinstance(raw, list) and len(raw) == rows,
              "{} must be a {}x{} matrix", name, rows, cols)
@@ -84,9 +96,9 @@ def _as_matrix(raw, rows: int, cols: int, name: str) -> tuple:
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == cols,
                  "{} row {} must have {} entries", name, i + 1, cols)
-        _require(all(_is_real(x) for x in row),
+        _require(_all_real(row),
                  "{} row {} has an entry that is not a finite number", name, i + 1)
-        out.append(tuple(float(x) for x in row))
+        out.append(tuple(map(float, row)))
     return tuple(out)
 
 
@@ -101,6 +113,8 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     _require(isinstance(name, str), "name must be a string")
     dim = doc.get("dim")
     _require(_is_int(dim) and dim >= 1, "dim must be a positive integer")
+    _require(8 * dim**3 <= np.iinfo(np.intp).max,  # numpy's byte limit, before allocating
+             "dim = {} is too large: its structure tensor cannot be allocated", dim)
     h_dim = doc.get("h_dim", 0)
     _require(_is_int(h_dim) and 0 <= h_dim <= dim,
              "h_dim must be an integer in [0, {}]", dim)
@@ -110,27 +124,25 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     _require(isinstance(raw_sc, list), "structure_constants must be a list")
     seen: dict[tuple[int, int, int], float] = {}
     entries = []
-    for pos, entry in enumerate(raw_sc):
-        _require(isinstance(entry, list) and len(entry) == 4,
-                 "structure_constants entry {} must be [i, j, k, value]", pos + 1)
-        i, j, k, v = entry
-        _require(all(_is_int(x) for x in (i, j, k)),
-                 "structure_constants entry {}: indices must be integers", pos + 1)
-        _require(_is_real(v),
-                 "structure_constants entry {}: value must be a finite number", pos + 1)
-        for idx in (i, j, k):
-            _require(1 <= idx <= dim, "structure_constants entry {}: index {} "
-                     "out of range [1, {}]", pos + 1, idx, dim)
-        _require(i != j or v == 0,
-                 "structure_constants entry {0}: [e_{1}, e_{1}] must vanish", pos + 1, i)
-        key = (i, j, k)
-        _require(key not in seen,
-                 "structure_constants entry {}: duplicate index triple {}", pos + 1, key)
-        mirror = (j, i, k)
-        if mirror in seen:
-            _require(seen[mirror] == -float(v), "structure_constants entry {}: "
-                     "conflicts with the entry for {} (antisymmetry)", pos + 1, mirror)
-        seen[key] = float(v)
+    for pos, entry in enumerate(raw_sc, 1):
+        i, j, k, v = entry if type(entry) is list and len(entry) == 4 else (0, 0, 0, 0)
+        if not (type(i) is type(j) is type(k) is int and type(v) in (int, float)
+                and 0 < min(i, j, k) and max(i, j, k) <= dim and abs(v) <= sys.float_info.max
+                and (i != j or v == 0) and (i, j, k) not in seen
+                and seen.get((j, i, k), -v) == -v):
+            at = f"structure_constants entry {pos}"  # it breaks a rule: name the first
+            _require(isinstance(entry, list) and len(entry) == 4,
+                     "{} must be [i, j, k, value]", at)
+            i, j, k, v = entry
+            _require(all(map(_is_int, (i, j, k))), "{}: indices must be integers", at)
+            _require(_is_real(v), "{}: value must be a finite number", at)
+            for idx in (i, j, k):
+                _require(1 <= idx <= dim, "{}: index {} out of range [1, {}]", at, idx, dim)
+            _require(i != j or v == 0, "{0}: [e_{1}, e_{1}] must vanish", at, i)
+            _require((i, j, k) not in seen, "{}: duplicate index triple {}", at, (i, j, k))
+            _require(seen.get((j, i, k), -float(v)) == -float(v),
+                     "{}: conflicts with the entry for {} (antisymmetry)", at, (j, i, k))
+        seen[i, j, k] = float(v)
         entries.append((i, j, k, float(v)))
 
     g0 = _as_matrix(doc["g0"], dim, dim, "g0") if "g0" in doc else None
@@ -141,9 +153,8 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         raw_x = doc["X"]
         _require(isinstance(raw_x, list) and len(raw_x) == m_dim,
                  "X must be a vector of length m_dim = {}", m_dim)
-        _require(all(_is_real(x) for x in raw_x),
-                 "X has an entry that is not a finite number")
-        X = tuple(float(x) for x in raw_x)
+        _require(_all_real(raw_x), "X has an entry that is not a finite number")
+        X = tuple(map(float, raw_x))
 
     raw_flags = doc.get("flags", [])
     _require(isinstance(raw_flags, list), "flags must be a list")
@@ -155,10 +166,10 @@ def config_from_dict(doc: dict) -> ProblemConfig:
         for which, raw_v in zip(("Y", "U"), pair):
             _require(isinstance(raw_v, list) and len(raw_v) == m_dim,
                      "flag {} {} must have length m_dim = {}", pos + 1, which, m_dim)
-            _require(all(_is_real(x) for x in raw_v),
+            _require(_all_real(raw_v),
                      "flag {} {} has an entry that is not a finite number",
                      pos + 1, which)
-            vecs.append(tuple(float(x) for x in raw_v))
+            vecs.append(tuple(map(float, raw_v)))
         flags.append((vecs[0], vecs[1]))
 
     raw_opts = doc.get("options", {})

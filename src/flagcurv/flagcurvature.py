@@ -308,6 +308,8 @@ def scan_flags(
     """
     if n_samples < 1:
         raise InputError("n_samples must be positive")
+    if 16 * n_samples * geom.m_dim > np.iinfo(np.intp).max:  # numpy refuses the Y, U block
+        raise InputError(f"n_samples = {n_samples} is too large to allocate")
     kernel = _Kernel(geom, d, method, convention)
     rng = np.random.default_rng(seed)
     Y, U = np.empty((2, n_samples, geom.m_dim))

@@ -1,18 +1,23 @@
 import argparse
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flagcurv
 from flagcurv.cli import _ryyy, build_parser, main
-from flagcurv.config import build_problem, config_from_dict, parse_config, structure_tensor
+from flagcurv.config import (_all_real, _is_real, build_problem, config_from_dict,
+                             parse_config, structure_tensor)
 from flagcurv.errors import InputError, NumericError
-from flagcurv.flagcurvature import hypotheses
+from flagcurv.flagcurvature import hypotheses, scan_flags
 from test_kernel import _count
 from conftest import heisenberg_tensor, sphere_tensor, su2_tensor
 
@@ -150,6 +155,128 @@ class TestConfigNumbers:
         assert jacobi["value"] is None or jacobi["value"] > 1e-9
         code, _, err = run(capsys, "curvature", path)
         assert code == 2 and "check jacobi fails" in err
+
+
+SC_OK = [1, 2, 3, 1.0]  # a valid first entry: the failing one is entry 2
+SC = "structure_constants entry 2"
+
+
+# One row per structure-constant rule, and rows that break several rules
+# at once: the message names the first rule broken, in the order below.
+@pytest.mark.parametrize("entries, message", [
+    pytest.param([SC_OK, "x"], f"{SC} must be [i, j, k, value]", id="not-a-list"),
+    pytest.param([SC_OK, {"i": 1}], f"{SC} must be [i, j, k, value]", id="object"),
+    pytest.param([SC_OK, [1, 2, 3]], f"{SC} must be [i, j, k, value]", id="three"),
+    pytest.param([SC_OK, [1, 2, 3, 1.0, 0]], f"{SC} must be [i, j, k, value]", id="five"),
+    pytest.param([SC_OK, [1.0, 2, 3, 1.0]], f"{SC}: indices must be integers",
+                 id="float-index"),
+    pytest.param([SC_OK, [1, True, 3, 1.0]], f"{SC}: indices must be integers",
+                 id="bool-index"),
+    pytest.param([SC_OK, [1, 2, "3", 1.0]], f"{SC}: indices must be integers",
+                 id="str-index"),
+    pytest.param([SC_OK, [1, 2.5, 9, math.nan]], f"{SC}: indices must be integers",
+                 id="index-before-value"),
+    *(pytest.param([SC_OK, [2, 3, 1, v]], f"{SC}: value must be a finite number", id=i)
+      for v, i in [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+                   (True, "bool"), (None, "null"), ("1", "str"), (10**400, "1e400"),
+                   (-10**400, "-1e400")]),
+    pytest.param([SC_OK, [0, 2, 3, math.nan]], f"{SC}: value must be a finite number",
+                 id="value-before-range"),
+    pytest.param([SC_OK, [0, 2, 3, 1.0]], f"{SC}: index 0 out of range [1, 3]", id="i=0"),
+    pytest.param([SC_OK, [1, 4, 3, 1.0]], f"{SC}: index 4 out of range [1, 3]", id="j=4"),
+    pytest.param([SC_OK, [1, 2, -1, 1.0]], f"{SC}: index -1 out of range [1, 3]",
+                 id="k=-1"),
+    pytest.param([SC_OK, [5, 0, 3, 1.0]], f"{SC}: index 5 out of range [1, 3]",
+                 id="i-before-j"),
+    pytest.param([SC_OK, [4, 4, 1, 1.0]], f"{SC}: index 4 out of range [1, 3]",
+                 id="range-before-vanish"),
+    pytest.param([SC_OK, [2, 2, 1, 1.0]], f"{SC}: [e_2, e_2] must vanish", id="vanish"),
+    pytest.param([SC_OK, [1, 2, 3, 1.0]], f"{SC}: duplicate index triple (1, 2, 3)",
+                 id="duplicate"),
+    pytest.param([SC_OK, [1, 2, 3, 2]], f"{SC}: duplicate index triple (1, 2, 3)",
+                 id="duplicate-other-value"),
+    pytest.param([[1, 1, 2, 0], [1, 1, 2, 0.0]], f"{SC}: duplicate index triple (1, 1, 2)",
+                 id="duplicate-vanishing"),
+    pytest.param([SC_OK, [2, 1, 3, 1.0]],
+                 f"{SC}: conflicts with the entry for (1, 2, 3) (antisymmetry)",
+                 id="antisymmetry"),
+    pytest.param([[1, 2, 3, 2], [2, 1, 3, 2]],
+                 f"{SC}: conflicts with the entry for (1, 2, 3) (antisymmetry)",
+                 id="antisymmetry-int"),
+])
+def test_structure_constant_rule_message(entries, message):
+    with pytest.raises(InputError) as exc:
+        config_from_dict({"dim": 3, "structure_constants": entries})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entries, expected", [
+    ([[2, 2, 1, 0]], ((2, 2, 1, 0.0),)),
+    ([[1, 2, 3, 2], [2, 1, 3, -2.0]], ((1, 2, 3, 2.0), (2, 1, 3, -2.0))),
+    # 2**53 + 1 rounds to 2**53 as a float: the mirror agrees after rounding
+    ([[1, 2, 3, 2**53 + 1], [2, 1, 3, -(2**53 + 1)]],
+     ((1, 2, 3, 2.0**53), (2, 1, 3, -2.0**53))),
+    ([[3, 1, 2, -1.7e308], [1, 3, 2, 1.7e308]], ((3, 1, 2, -1.7e308), (1, 3, 2, 1.7e308))),
+])
+def test_structure_constant_edge_entries_are_accepted(entries, expected):
+    got = config_from_dict({"dim": 3, "structure_constants": entries}).structure_constants
+    assert got == expected
+    assert all(type(v) is float for *_, v in got)
+
+
+# Entries a JSON config can hold, and np.float64, which a library caller may
+# pass: huge ints and floats whose sum overflows take the per-entry path.
+REALISH = st.one_of(
+    st.integers(), st.sampled_from([10**400, -10**400, 2**1024, 2**53 + 1]),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308, -1.7e308]),
+    st.booleans(), st.none(), st.text(max_size=2), st.floats().map(np.float64),
+)
+NUMBERS = st.one_of(st.integers(-10**20, 10**20), st.floats(),
+                    st.sampled_from([1.7e308, -1.7e308, math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(REALISH, max_size=6), st.lists(NUMBERS, max_size=6)))
+def test_all_real_agrees_with_the_per_entry_check(xs):
+    assert _all_real(xs) == all(map(_is_real, xs))
+
+
+class TestTooLargeToAllocate:
+    """A size numpy refuses to describe (more than np.iinfo(np.intp).max bytes)
+    exits 1 with an error line.  Every size here is refused before any array
+    is allocated."""
+
+    def test_dim(self, capsys, tmp_path):
+        path = TestGate.write(tmp_path, {"dim": 10**7})
+        assert run(capsys, "validate", path) == (
+            1, "", "error: dim = 10000000 is too large: its structure tensor "
+                   "cannot be allocated\n")
+
+    @pytest.mark.parametrize("command, config", [("scan", "su2.json"),
+                                                 ("berwald", "su2_plus_r.json")])
+    @pytest.mark.parametrize("samples", [10**18, 10**20])
+    def test_samples(self, capsys, command, config, samples):
+        got = run(capsys, command, str(CONFIGS / config), "--samples", str(samples))
+        assert got == (1, "", f"error: n_samples = {samples} is too large to allocate\n")
+
+    def test_samples_in_the_config(self, capsys, tmp_path):
+        path = _numeric_doc_with(tmp_path, ("options", "samples"), 10**20)
+        assert run(capsys, "scan", path) == (
+            1, "", f"error: n_samples = {10**20} is too large to allocate\n")
+
+    def test_scan_flags(self):
+        config = parse_config(CONFIGS / "su2.json")
+        geom, data, _ = build_problem(config)
+        with pytest.raises(InputError, match="too large to allocate"):
+            scan_flags(geom, data, n_samples=2**62, seed=0)
+
+
+def test_readme_config_example_validates(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    assert run(capsys, "validate", str(path))[0] == 0
 
 
 class TestValidateCommand:
@@ -716,19 +843,24 @@ def test_each_subcommand_accepts_only_the_flags_its_command_reads(capsys):
 
 
 SU2_PLUS_R = str(CONFIGS / "su2_plus_r.json")
+SUBCOMMANDS = ("validate", "curvature", "scan", "berwald")
 # Usage and help, bad commands, flags a subcommand does not read, bad
-# values, and one real run per subcommand and format.
+# values, arguments the subcommand's parser leaves over (which the full
+# parser reports), and one real run per subcommand and format.
 PARSER_ARGVS = [
     [], ["-h"], ["--", "validate", SU2_PLUS_R], ["frobnicate", SU2_PLUS_R],
-    *([command, "--help"] for command in ("validate", "curvature", "scan", "berwald")),
+    *([command, "--help"] for command in SUBCOMMANDS),
     ["validate"], ["validate", SU2_PLUS_R, "--method", "general"],
     ["berwald", SU2_PLUS_R, "--convention", "paper-verbatim"],
     ["curvature", SU2_PLUS_R, "--method", "frobnicate"],
     ["scan", SU2_PLUS_R, "--output", "xml"], ["scan", SU2_PLUS_R, "--samples", "0"],
     ["scan", SU2_PLUS_R, "--seed", "x"],
     *([command, SU2_PLUS_R, "--output", output]
-      for command in ("validate", "curvature", "scan", "berwald")
-      for output in ("json", "table")),
+      for command in SUBCOMMANDS for output in ("json", "table")),
+    *([command, SU2_PLUS_R, "--frobnicate"] for command in SUBCOMMANDS),
+    ["validate", SU2_PLUS_R, "extra.json"], ["scan", SU2_PLUS_R, "--out", "json"],
+    ["curvature", SU2_PLUS_R, "--samples=5"], ["scan", SU2_PLUS_R, "--samples=5"],
+    ["curvature", "--", SU2_PLUS_R], ["curvature", "-h", SU2_PLUS_R], ["curvature"],
 ]
 
 
@@ -744,34 +876,51 @@ def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
         return code, out.out, out.err
 
     got = outcome()
-    full = flagcurv.cli.build_parser
-    monkeypatch.setattr(flagcurv.cli, "build_parser", lambda command=None: full())
+    monkeypatch.setattr(flagcurv.cli, "_parse_args",
+                        lambda argv: build_parser().parse_args(argv))
     assert got == outcome()
 
 
-@pytest.mark.parametrize("command", ["validate", "curvature", "scan", "berwald"])
+@pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_main_builds_the_arguments_of_its_own_subcommand_only(monkeypatch, capsys,
                                                               command):
-    built, full = [], flagcurv.cli.build_parser
-    monkeypatch.setattr(flagcurv.cli, "build_parser",
-                        lambda *args: built.append(full(*args)) or built[-1])
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main([command, SU2_PLUS_R, "--output", "json"]) == 0
-    (subparsers,) = [a for a in built.pop()._actions
-                     if isinstance(a, argparse._SubParsersAction)]
-    for name, parser in subparsers.choices.items():
-        dests = {a.dest for a in parser._actions} - {"help"}
-        if name == command:
-            assert "config" in dests
-            assert parser.get_default("func") is getattr(flagcurv.cli, f"cmd_{command}")
-        else:
-            assert dests == set() and parser.get_default("func") is None
-    assert not built
+    (parser,) = built  # one ArgumentParser, not the full parser's five
+    assert parser.prog == f"flagcurv {command}"
+    assert parser.get_default("func") is getattr(flagcurv.cli, f"cmd_{command}")
 
 
 def test_main_reads_the_process_arguments(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["flagcurv", "validate", SU2_PLUS_R, "--output", "json"])
     assert main() == 0
     assert capsys.readouterr().out == (GOLDEN / "validate_su2_plus_r.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [["validate", SU2_PLUS_R, "--output", "json"], ["-h"],
+                                  ["curvature", SU2_PLUS_R, "--frobnicate"]],
+                         ids=["validate", "-h", "unrecognized"])
+def test_module_entry_point_prints_what_main_prints(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    src = str(Path(flagcurv.__file__).resolve().parent.parent)
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "flagcurv.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.out, out.err)
+    if argv[0] == "validate":
+        assert (code, out.out) == (0, (GOLDEN / "validate_su2_plus_r.json").read_text())
 
 
 def test_numeric_error_exits_4(monkeypatch, capsys):
