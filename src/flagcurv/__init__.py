@@ -7,7 +7,6 @@ bi-invariant form g0, a metric endomorphism phi, and a drift vector X.
 
 from .algebra import (
     LieAlgebraSpec,
-    ReductivePair,
     bracket,
     check_reductive,
     derived_subalgebra,

@@ -76,35 +76,6 @@ class LieAlgebraSpec:
 
 
 @dataclass(frozen=True)
-class ReductivePair:
-    """Basis-adapted split: first h_dim vectors span h, the rest span m."""
-
-    dim: int
-    h_dim: int
-
-    def __post_init__(self):
-        if not 0 <= self.h_dim <= self.dim:
-            raise InputError(
-                f"h_dim must lie in [0, {self.dim}], got {self.h_dim}"
-            )
-
-    @property
-    def m_dim(self) -> int:
-        return self.dim - self.h_dim
-
-    def embed_m(self, x_m: np.ndarray) -> np.ndarray:
-        """Zero-pad an m-coordinate vector to full algebra coordinates."""
-        x_m = np.asarray(x_m, dtype=float)
-        if x_m.shape != (self.m_dim,):
-            raise InputError(
-                f"expected m-vector of length {self.m_dim}, got shape {x_m.shape}"
-            )
-        out = np.zeros(self.dim)
-        out[self.h_dim:] = x_m
-        return out
-
-
-@dataclass(frozen=True)
 class ReductiveReport:
     subalgebra_ok: bool
     ad_invariant_ok: bool
@@ -162,14 +133,15 @@ def derived_subalgebra(L: LieAlgebraSpec) -> np.ndarray:
     return vt[:rank]
 
 
-def check_reductive(L: LieAlgebraSpec, R: ReductivePair) -> ReductiveReport:
-    """Verify [h, h] <= h and [h, m] <= m within TOL_HYPOTHESIS."""
-    if R.dim != L.dim:
-        raise InputError("reductive pair dimension does not match algebra")
-    h, n = R.h_dim, L.dim
+def check_reductive(L: LieAlgebraSpec, h_dim: int) -> ReductiveReport:
+    """Verify [h, h] <= h and [h, m] <= m within TOL_HYPOTHESIS, for h the
+    first h_dim basis vectors."""
+    if not 0 <= h_dim <= L.dim:
+        raise InputError(f"h_dim must lie in [0, {L.dim}], got {h_dim}")
+    h = h_dim
     # [h, h] must have no m-component; [h, m] no h-component.
-    sub_defect = float(np.max(np.abs(L.c[:h, :h, h:]))) if h and n > h else 0.0
-    ad_defect = float(np.max(np.abs(L.c[:h, h:, :h]))) if h and n > h else 0.0
+    sub_defect = float(np.abs(L.c[:h, :h, h:]).max(initial=0.0))
+    ad_defect = float(np.abs(L.c[:h, h:, :h]).max(initial=0.0))
     return ReductiveReport(
         subalgebra_ok=sub_defect <= TOL_HYPOTHESIS,
         ad_invariant_ok=ad_defect <= TOL_HYPOTHESIS,

@@ -65,9 +65,9 @@ def _group(
     geom: HomogeneousGeometry, X: np.ndarray
 ) -> tuple[LieAlgebraSpec, InnerProduct, np.ndarray]:
     """Algebra, metric and drift of a geometry with trivial isotropy."""
-    if geom.pair.h_dim:
+    if geom.h_dim:
         raise PreconditionError(
-            f"Berwald checks need h_dim = 0, got h_dim = {geom.pair.h_dim}")
+            f"Berwald checks need h_dim = 0, got h_dim = {geom.h_dim}")
     X = np.asarray(X, dtype=float)
     if X.shape != (geom.algebra.dim,):
         raise InputError(f"drift vector must have length {geom.algebra.dim}")

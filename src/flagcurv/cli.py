@@ -103,13 +103,13 @@ def _structure_checks(geom) -> list[tuple[str, bool, float, bool]]:
 
 def cmd_validate(config: ProblemConfig, args) -> int:
     geom, data, _ = build_problem(config)
-    pair, g = geom.pair, geom.inner
+    g = geom.inner
     checks = _structure_checks(geom)
 
     bi = geom.g0_bi_invariance
     checks.append(("g0_bi_invariance", bi.ok, bi.max_defect, False))
 
-    if pair.h_dim > 0:
+    if geom.h_dim > 0:
         adh = geom.ad_h_invariance
         checks.append(("ad_h_invariance", adh.ok, adh.max_defect, True))
 
@@ -122,13 +122,13 @@ def cmd_validate(config: ProblemConfig, args) -> int:
     # geom.connection is the metric's Levi-Civita connection only on a
     # reductive split with an ad(h)-invariant metric
     red = geom.reductive
-    if (pair.h_dim > 0 and g.norm(data.X) > 0 and red.subalgebra_ok
+    if (geom.h_dim > 0 and g.norm(data.X) > 0 and red.subalgebra_ok
             and red.ad_invariant_ok and geom.ad_h_invariance.ok):
         dp = geom.drift_parallel(data.X)
         checks.append(("drift_parallel", dp.ok, dp.max_defect, True))
 
     berwald_status = "not checked"
-    if pair.h_dim == 0 and g.norm(data.X) > 0:
+    if geom.h_dim == 0 and g.norm(data.X) > 0:
         rep = berwald_mod.obstruction_report(geom, data.X)
         checks.append(("berwald_admissible", rep.berwald_admissible,
                        rep.nabla_X_norm, True))
@@ -140,7 +140,7 @@ def cmd_validate(config: ProblemConfig, args) -> int:
             )
         else:
             berwald_status = "admissible" if rep.berwald_admissible else "inadmissible"
-    elif pair.h_dim == 0:
+    elif geom.h_dim == 0:
         berwald_status = "trivial (X = 0: metric is Riemannian)"
 
     failed_hard = [name for name, ok, _, hard in checks if hard and not ok]
@@ -293,7 +293,7 @@ def cmd_scan(config: ProblemConfig, args) -> int:
 def cmd_berwald(config: ProblemConfig, args) -> int:
     opts = _options(config, samples=args.samples, seed=args.seed)
     geom, data, _ = _gate(config, args, None)
-    if geom.pair.h_dim > 0:
+    if geom.h_dim > 0:
         if args.output == "json":
             emit_json({"command": "berwald", "name": config.name,
                        "status": "not checked",

@@ -28,7 +28,7 @@ from .errors import FlagError, InputError, PreconditionError
 from .finsler import FinslerData, validate_finsler
 from .geometry import HomogeneousGeometry, make_geometry
 from .metrics import Flag, InnerProduct, orthonormalize_flag, require
-from .riemann import _nat_reductive_RUYY, _require_reductive, curvature_oracle
+from .riemann import _nat_reductive_RUYY, _pad_m, _require_reductive, curvature_oracle
 
 CONVENTIONS = ("oracle-aligned", "paper-verbatim")
 METHODS = ("general", "naturally-reductive", "bi-invariant")
@@ -136,7 +136,7 @@ class _Kernel:
         if geom.m_dim < 2:
             raise FlagError("flags need m_dim >= 2")
         _require_reductive(geom.reductive)
-        if method == "bi-invariant" and geom.pair.h_dim != 0:
+        if method == "bi-invariant" and geom.h_dim != 0:
             # the metric on m alone cannot be bi-invariant on the algebra
             raise PreconditionError("bi-invariant method needs trivial isotropy")
         require((words, getattr(geom, attr)) for attr, words in _NEEDS[method])
@@ -148,7 +148,7 @@ class _Kernel:
         the rows of two (N, m) stacks: an (N,) and an (N, m) array; the
         general method's closed form gives no R(U,Y)Y."""
         geom = self.geom
-        h, N = geom.pair.h_dim, len(Y)
+        h, N = geom.h_dim, len(Y)
         YU = np.zeros((2 * N, geom.algebra.dim))
         YU[:N, h:], YU[N:, h:] = Y, U
         if self.method != "general":
@@ -193,7 +193,7 @@ def _closed_URYY(geom: HomogeneousGeometry, YU: np.ndarray, convention: str) -> 
     the N flags whose Y are stacked over their U in YU, (2N, n) in full
     coordinates.  Term 2 pairs m-projections with the derived metric <.,.>;
     the other terms use <.,.>_0 on the full algebra, as printed."""
-    h, g0, g0_phi_inv = geom.pair.h_dim, geom.g0, geom.g0_phi_inv
+    h, g0, g0_phi_inv = geom.h_dim, geom.g0, geom.g0_phi_inv
     N = len(YU) // 2
     Y, U = YU[:N], YU[N:]
     pY, pU = np.split(YU @ geom.phi_full.T, 2)
@@ -225,7 +225,7 @@ def puttmann_URYY(
     Riemannian reduction.
     """
     _check_convention(convention)
-    YU = np.stack((geom.pair.embed_m(Y), geom.pair.embed_m(U)))
+    YU = _pad_m(geom.algebra.dim, geom.h_dim, Y, U)
     return float(_closed_URYY(geom, YU, convention)[0])
 
 

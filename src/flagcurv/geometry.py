@@ -7,8 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (TOL_HYPOTHESIS, LieAlgebraSpec, ReductivePair, ReductiveReport,
-                      check_reductive)
+from .algebra import TOL_HYPOTHESIS, LieAlgebraSpec, ReductiveReport, check_reductive
 from .errors import InputError, ValidationError
 from .metrics import (
     CheckReport,
@@ -27,8 +26,9 @@ class HomogeneousGeometry:
     m, self-adjoint and positive-definite w.r.t. g0, so that
     <x, y> = <phi x, y>_0 is an inner product on m.
 
-    Construction validates g0 and phi and derives the split, phi extended by
-    the identity on h, and the inner product.  Bi-invariance of g0 is a
+    Construction validates the split 0 <= h_dim <= n, g0 and phi, and
+    derives check_reductive's report, which every method needs, phi extended
+    by the identity on h, and the inner product.  Bi-invariance of g0 is a
     hypothesis, checked by g0_bi_invariance.  The operators that do not
     depend on a flag are cached on first use; the geometry is frozen and its
     arrays are read-only, so they never go stale.
@@ -38,14 +38,14 @@ class HomogeneousGeometry:
     h_dim: int
     g0: np.ndarray
     phi: np.ndarray
-    pair: ReductivePair = field(init=False)
+    reductive: ReductiveReport = field(init=False)
     phi_full: np.ndarray = field(init=False)
     inner: InnerProduct = field(init=False)
 
     def __post_init__(self):
-        n = self.algebra.dim
-        pair = ReductivePair(dim=n, h_dim=self.h_dim)
-        h, m = self.h_dim, pair.m_dim
+        n, h = self.algebra.dim, self.h_dim
+        reductive = check_reductive(self.algebra, h)  # refuses h outside [0, n]
+        m = n - h
         g0 = np.array(self.g0, dtype=float)
         if g0.shape != (n, n):
             raise InputError(f"g0 must be {n}x{n} (form on the algebra), got {g0.shape}")
@@ -74,13 +74,13 @@ class HomogeneousGeometry:
         phi_full[h:, h:] = phi
         for arr in (g0, phi, phi_full):
             arr.setflags(write=False)
-        for name, value in (("pair", pair), ("g0", g0), ("phi", phi), ("phi_full", phi_full),
-                            ("inner", InnerProduct(g0m @ phi))):
+        for name, value in (("reductive", reductive), ("g0", g0), ("phi", phi),
+                            ("phi_full", phi_full), ("inner", InnerProduct(g0m @ phi))):
             object.__setattr__(self, name, value)
 
     @property
     def m_dim(self) -> int:
-        return self.pair.m_dim
+        return self.algebra.dim - self.h_dim
 
     @cached_property
     def g0_phi_inv(self) -> np.ndarray:
@@ -97,18 +97,13 @@ class HomogeneousGeometry:
         return koszul_connection(self.algebra, self.inner)
 
     @cached_property
-    def reductive(self) -> ReductiveReport:
-        """Whether the split g = h + m is reductive; every method needs it."""
-        return check_reductive(self.algebra, self.pair)
-
-    @cached_property
     def ad_h_invariance(self) -> CheckReport:
         """ad(h)-invariance of the metric on m; always holds with h_dim = 0."""
-        return check_ad_h_invariance(self.algebra, self.pair, self.inner)
+        return check_ad_h_invariance(self.algebra, self.inner)
 
     @cached_property
     def naturally_reductive(self) -> CheckReport:
-        return check_naturally_reductive(self.algebra, self.pair, self.inner)
+        return check_naturally_reductive(self.algebra, self.inner)
 
     @cached_property
     def g0_bi_invariance(self) -> CheckReport:

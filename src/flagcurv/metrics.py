@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import TOL_HYPOTHESIS, LieAlgebraSpec, ReductivePair
+from .algebra import TOL_HYPOTHESIS, LieAlgebraSpec
 from .errors import FlagError, InputError, PreconditionError, ValidationError
 
 TOL_DEP = 1e-12
@@ -102,21 +102,23 @@ def check_bi_invariance(L: LieAlgebraSpec, g0: np.ndarray) -> CheckReport:
     return _skew_check(L.c, g0)
 
 
-def check_ad_h_invariance(
-    L: LieAlgebraSpec, R: ReductivePair, g: InnerProduct
-) -> CheckReport:
+def _h_dim_of(L: LieAlgebraSpec, g: InnerProduct) -> int:
+    """h_dim = L.dim - g.dim of a metric g on m, the last g.dim basis
+    vectors; a metric larger than the algebra is refused (InputError)."""
+    if g.dim > L.dim:
+        raise InputError(f"metric dimension {g.dim} exceeds algebra dimension {L.dim}")
+    return L.dim - g.dim
+
+
+def check_ad_h_invariance(L: LieAlgebraSpec, g: InnerProduct) -> CheckReport:
     """Defect of <[z,x]_m, y> + <x, [z,y]_m> = 0 for z in h, x, y in m."""
-    _check_m_metric(L, R, g)
-    h = R.h_dim
+    h = _h_dim_of(L, g)
     return _skew_check(L.c[:h, h:, h:], g.g)
 
 
-def check_naturally_reductive(
-    L: LieAlgebraSpec, R: ReductivePair, g: InnerProduct
-) -> CheckReport:
+def check_naturally_reductive(L: LieAlgebraSpec, g: InnerProduct) -> CheckReport:
     """Defect of <x, [z,y]_m> + <[z,x]_m, y> = 0 for x, y, z in m."""
-    _check_m_metric(L, R, g)
-    h = R.h_dim
+    h = _h_dim_of(L, g)
     return _skew_check(L.c[h:, h:, h:], g.g)
 
 
@@ -145,11 +147,3 @@ def orthonormalize_flag(
     U = w / g.norm(w)
     return Flag(Y=Y, U=U)
 
-
-def _check_m_metric(L: LieAlgebraSpec, R: ReductivePair, g: InnerProduct) -> None:
-    if R.dim != L.dim:
-        raise InputError("reductive pair dimension does not match algebra")
-    if g.dim != R.m_dim:
-        raise InputError(
-            f"metric dimension {g.dim} does not match m_dim {R.m_dim}"
-        )

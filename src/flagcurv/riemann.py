@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, ReductivePair, ReductiveReport, check_reductive
+from .algebra import LieAlgebraSpec, ReductiveReport, check_reductive
 from .errors import FlagError, InputError, PreconditionError
-from .metrics import InnerProduct, check_naturally_reductive, require
+from .metrics import InnerProduct, _h_dim_of, check_naturally_reductive, require
 
 TOL_ORACLE = 1e-10
 
@@ -47,10 +47,8 @@ def koszul_connection(L: LieAlgebraSpec, g: InnerProduct) -> ConnectionTable:
     2<nabla_x y, z> = <[x,y]_m,z> - <[y,z]_m,x> + <[z,x]_m,y> over the basis
     of m; with h_dim = 0 this is the Koszul connection on the group.
     """
-    h = L.dim - g.dim
-    if h < 0:
-        raise InputError(f"metric dimension {g.dim} exceeds algebra dimension {L.dim}")
-    _require_reductive(check_reductive(L, ReductivePair(dim=L.dim, h_dim=h)))
+    h = _h_dim_of(L, g)
+    _require_reductive(check_reductive(L, h))
     c, gm = L.c[h:, h:, h:], g.g
     # rhs[i,j,k] = <[e_i,e_j]_m,e_k> - <[e_j,e_k]_m,e_i> + <[e_k,e_i]_m,e_j>
     bg = c @ gm  # <[e_i,e_j]_m,e_k>
@@ -81,24 +79,37 @@ def curvature_oracle(
 
 def nat_reductive_R(
     L: LieAlgebraSpec,
-    R: ReductivePair,
+    h_dim: int,
     u: np.ndarray,
     y: np.ndarray,
     g: InnerProduct | None = None,
 ) -> np.ndarray:
     """R(U,Y)Y = 1/4 [y,[u,y]_m]_m + [y,[u,y]_h] for naturally reductive g.
 
-    Arguments and result are in m-coordinates.  When g is supplied, natural
-    reductivity is verified first.  The split must be reductive, so that
-    the h-bracket term lands in m; this is asserted, not silently projected.
+    Arguments and result are in m-coordinates, h being the first h_dim basis
+    vectors.  When g is supplied, a metric on m, natural reductivity is
+    verified first.  The split must be reductive, so that the h-bracket
+    term lands in m; this is asserted, not silently projected.
     """
-    _require_reductive(check_reductive(L, R))
+    _require_reductive(check_reductive(L, h_dim))
     if g is not None:
-        rep = check_naturally_reductive(L, R, g)
-        require([("metric is not naturally reductive", rep)])
-    uf = R.embed_m(np.asarray(u, dtype=float))
-    yf = R.embed_m(np.asarray(y, dtype=float))
-    return _nat_reductive_RUYY(L, yf[None], uf[None], R.h_dim)[0]
+        if g.dim != L.dim - h_dim:
+            raise InputError(f"metric dimension {g.dim} does not match m_dim {L.dim - h_dim}")
+        require([("metric is not naturally reductive", check_naturally_reductive(L, g))])
+    uf, yf = _pad_m(L.dim, h_dim, u, y)
+    return _nat_reductive_RUYY(L, yf[None], uf[None], h_dim)[0]
+
+
+def _pad_m(n: int, h_dim: int, *xs: np.ndarray) -> np.ndarray:
+    """The m-coordinate vectors xs zero-padded to full coordinates, as the
+    rows of one (len(xs), n) array; a wrong length is refused (InputError)."""
+    out = np.zeros((len(xs), n))
+    for row, x in zip(out, xs):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (n - h_dim,):
+            raise InputError(f"expected m-vector of length {n - h_dim}, got shape {x.shape}")
+        row[h_dim:] = x
+    return out
 
 
 def _require_reductive(rep: ReductiveReport) -> None:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from flagcurv import (
     InputError,
     LieAlgebraSpec,
-    ReductivePair,
     bracket,
     check_reductive,
     derived_subalgebra,
@@ -217,13 +216,13 @@ def test_project_su2_u1(su2_u1):
 
 
 def test_check_reductive_su2_u1(su2_u1):
-    rep = check_reductive(su2_u1, ReductivePair(dim=3, h_dim=1))
+    rep = check_reductive(su2_u1, 1)
     assert rep.subalgebra_ok and rep.ad_invariant_ok
     assert rep.max_defect == 0.0
 
 
 def test_check_reductive_trivial_h(su2):
-    rep = check_reductive(su2, ReductivePair(dim=3, h_dim=0))
+    rep = check_reductive(su2, 0)
     assert rep.subalgebra_ok and rep.ad_invariant_ok
 
 
@@ -234,7 +233,7 @@ def test_check_reductive_rotated_one_dim_isotropy_still_passes(su2):
     c = change_basis(su2_tensor(), T)
     L = LieAlgebraSpec(3, c)
     assert jacobi_defect(L) < 1e-12
-    rep = check_reductive(L, ReductivePair(dim=3, h_dim=1))
+    rep = check_reductive(L, 1)
     assert rep.subalgebra_ok and rep.ad_invariant_ok
 
 
@@ -245,13 +244,13 @@ def test_check_reductive_ad_invariance_fails():
     c[0, 1, 0] = 1.0
     c[1, 0, 0] = -1.0
     L = LieAlgebraSpec(2, c)
-    rep = check_reductive(L, ReductivePair(dim=2, h_dim=1))
+    rep = check_reductive(L, 1)
     assert rep.subalgebra_ok
     assert not rep.ad_invariant_ok
     assert rep.max_defect == pytest.approx(1.0)
 
 
 def test_check_reductive_subalgebra_fails(su2):
-    rep = check_reductive(su2, ReductivePair(dim=3, h_dim=2))
+    rep = check_reductive(su2, 2)
     assert not rep.subalgebra_ok  # [e1, e2] = e3 escapes h
     assert rep.max_defect == pytest.approx(1.0)

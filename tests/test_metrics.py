@@ -8,7 +8,6 @@ from flagcurv import (
     InnerProduct,
     InputError,
     LieAlgebraSpec,
-    ReductivePair,
     ValidationError,
     check_ad_h_invariance,
     check_bi_invariance,
@@ -99,36 +98,30 @@ class TestBiInvariance:
 
 class TestAdHInvariance:
     def test_su2_u1_round(self, su2_u1):
-        pair = ReductivePair(dim=3, h_dim=1)
-        rep = check_ad_h_invariance(su2_u1, pair, InnerProduct(np.eye(2)))
+        rep = check_ad_h_invariance(su2_u1, InnerProduct(np.eye(2)))
         assert rep.ok
 
     def test_su2_u1_stretched(self, su2_u1):
-        pair = ReductivePair(dim=3, h_dim=1)
-        rep = check_ad_h_invariance(su2_u1, pair, InnerProduct(np.diag([1.0, 4.0])))
+        rep = check_ad_h_invariance(su2_u1, InnerProduct(np.diag([1.0, 4.0])))
         assert not rep.ok
         assert rep.max_defect == pytest.approx(3.0)
 
     def test_trivial_h_vacuous(self, su2):
-        pair = ReductivePair(dim=3, h_dim=0)
-        rep = check_ad_h_invariance(su2, pair, InnerProduct(np.diag([1.0, 2.0, 3.0])))
+        rep = check_ad_h_invariance(su2, InnerProduct(np.diag([1.0, 2.0, 3.0])))
         assert rep.ok
         assert rep.max_defect == 0.0
 
 
 class TestNaturallyReductive:
     def test_su2_biinvariant(self, su2):
-        pair = ReductivePair(dim=3, h_dim=0)
-        assert check_naturally_reductive(su2, pair, InnerProduct(np.eye(3))).ok
+        assert check_naturally_reductive(su2, InnerProduct(np.eye(3))).ok
 
     def test_su2_u1(self, su2_u1):
-        pair = ReductivePair(dim=3, h_dim=1)
-        assert check_naturally_reductive(su2_u1, pair, InnerProduct(np.eye(2))).ok
+        assert check_naturally_reductive(su2_u1, InnerProduct(np.eye(2))).ok
 
     def test_su2_stretched_fails(self, su2):
-        pair = ReductivePair(dim=3, h_dim=0)
         rep = check_naturally_reductive(
-            su2, pair, InnerProduct(np.diag([1.0, 1.0, 4.0]))
+            su2, InnerProduct(np.diag([1.0, 1.0, 4.0]))
         )
         assert not rep.ok
         assert rep.max_defect == pytest.approx(3.0)

@@ -9,7 +9,6 @@ from flagcurv import (
     InputError,
     LieAlgebraSpec,
     PreconditionError,
-    ReductivePair,
     bracket,
     curvature_oracle,
     koszul_connection,
@@ -48,7 +47,6 @@ class TestKoszul:
     def test_h_dim_nonzero_is_the_nomizu_map(self, su2_u1):
         # su(2)/u(1) with g = I is the round sphere of curvature 1
         g = InnerProduct(np.eye(2))
-        pair = ReductivePair(dim=3, h_dim=1)
         conn = koszul_connection(su2_u1, g)
         y, u = np.eye(2)
         assert sectional(su2_u1, g, conn, y, u) == pytest.approx(1.0)
@@ -56,7 +54,7 @@ class TestKoszul:
         for _ in range(10):
             u, y = rng.normal(size=(2, 2))
             lhs = curvature_oracle(conn, su2_u1, u, y, y)
-            rhs = nat_reductive_R(su2_u1, pair, u, y, g=g)
+            rhs = nat_reductive_R(su2_u1, 1, u, y, g=g)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
@@ -137,31 +135,27 @@ class TestCurvatureOracle:
 
 class TestNatReductive:
     def test_su2_u1_sphere(self, su2_u1):
-        pair = ReductivePair(dim=3, h_dim=1)
-        r = nat_reductive_R(su2_u1, pair, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        r = nat_reductive_R(su2_u1, 1, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         assert np.allclose(r, [0.0, 1.0])
 
     def test_matches_koszul_biinvariant(self, su2):
-        pair = ReductivePair(dim=3, h_dim=0)
         g = InnerProduct(np.eye(3))
         conn = koszul_connection(su2, g)
         rng = np.random.default_rng(4)
         for _ in range(20):
             u, y = rng.normal(size=(2, 3))
-            lhs = nat_reductive_R(su2, pair, u, y, g=g)
+            lhs = nat_reductive_R(su2, 0, u, y, g=g)
             rhs = curvature_oracle(conn, su2, u, y, y)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_abelian_zero(self, abelian3):
-        pair = ReductivePair(dim=3, h_dim=0)
-        r = nat_reductive_R(abelian3, pair, E3[1], E3[0])
+        r = nat_reductive_R(abelian3, 0, E3[1], E3[0])
         assert np.allclose(r, 0.0)
 
     def test_not_naturally_reductive_rejected(self, su2):
-        pair = ReductivePair(dim=3, h_dim=0)
         with pytest.raises(PreconditionError):
             nat_reductive_R(
-                su2, pair, E3[1], E3[0], g=InnerProduct(np.diag([1.0, 1.0, 4.0]))
+                su2, 0, E3[1], E3[0], g=InnerProduct(np.diag([1.0, 1.0, 4.0]))
             )
 
 
@@ -171,7 +165,7 @@ class TestNatReductive:
         c[1, 2, 0], c[2, 1, 0] = 1.0, -1.0
         c[2, 0, 0], c[0, 2, 0] = 1.0, -1.0
         with pytest.raises(PreconditionError, match="h-component"):
-            nat_reductive_R(LieAlgebraSpec(3, c), ReductivePair(dim=3, h_dim=1),
+            nat_reductive_R(LieAlgebraSpec(3, c), 1,
                             E3[1, 1:], E3[2, 1:])
 
 
@@ -268,7 +262,7 @@ def invariant_products(draw, block=None):
 @given(invariant_products())
 def test_nomizu_map_is_levi_civita(problem):
     geom, _, _, (y, u, v, w) = problem
-    L, g, h = geom.algebra, geom.inner, geom.pair.h_dim
+    L, g, h = geom.algebra, geom.inner, geom.h_dim
     conn = koszul_connection(L, g)
     gamma = conn.gamma  # gamma[i, j] = Lambda(e_i) e_j
     # Lambda(x) is g-skew: <Lambda(x)y, z> + <y, Lambda(x)z> = 0
@@ -288,7 +282,7 @@ def test_nomizu_map_is_levi_civita(problem):
 @given(invariant_products(block=True))
 def test_nomizu_curvature_splits_on_a_product_metric(problem):
     geom, k, group, (y, u, _, _) = problem
-    L, g, h = geom.algebra, geom.inner, geom.pair.h_dim
+    L, g, h = geom.algebra, geom.inner, geom.h_dim
     r = curvature_oracle(geom.connection, L, u, y, y)
     # the S^k x R factor by the naturally reductive formula
     c1 = sphere_tensor(k)
