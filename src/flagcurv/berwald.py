@@ -141,13 +141,13 @@ def sectional_along_X_sign(
         raise FlagError("flags need m_dim >= 2")
     if n_samples < 1:
         raise InputError("n_samples must be positive")
-    if 8 * n_samples * L.dim > np.iinfo(np.intp).max:  # numpy refuses the draws
-        raise InputError(f"n_samples = {n_samples} is too large to allocate")
+    try:  # one row of n normals per sample, drawn as a per-sample loop would
+        draws = np.random.default_rng(seed).standard_normal((n_samples, L.dim))
+    except (ValueError, OverflowError, MemoryError):  # beyond numpy's sizes, or malloc's
+        raise InputError(f"n_samples = {n_samples} is too large to allocate") from None
     if g.norm(X) == 0.0:
         raise InputError("X must be nonzero")
     Xu = X / g.norm(X)
-    # one row of n normals per sample, drawn as a per-sample loop would
-    draws = np.random.default_rng(seed).standard_normal((n_samples, L.dim))
     u = _unit_orthogonal(g, Xu, draws)
     # witnesses orthogonal to the image [X, g]: K must vanish there
     w = _unit_orthogonal(g, Xu, _null_rows(L.ad(X) @ g.g))  # L.ad(X) has rows [X, e_j]

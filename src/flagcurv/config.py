@@ -113,8 +113,11 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     _require(isinstance(name, str), "name must be a string")
     dim = doc.get("dim")
     _require(_is_int(dim) and dim >= 1, "dim must be a positive integer")
-    _require(8 * dim**3 <= np.iinfo(np.intp).max,  # numpy's byte limit, before allocating
-             "dim = {} is too large: its structure tensor cannot be allocated", dim)
+    try:  # left unwritten: refuses a size numpy cannot describe or malloc cannot give
+        np.empty((dim, dim, dim))
+    except (ValueError, OverflowError, MemoryError):
+        raise InputError(
+            f"dim = {dim} is too large: its structure tensor cannot be allocated") from None
     h_dim = doc.get("h_dim", 0)
     _require(_is_int(h_dim) and 0 <= h_dim <= dim,
              "h_dim must be an integer in [0, {}]", dim)

@@ -126,7 +126,7 @@ class _Kernel:
         if convention == "paper-verbatim" and method != "general":
             raise InputError("convention 'paper-verbatim' applies to the general "
                              f"method only, got {method!r}")
-        if d.g.dim != geom.inner.dim or not np.allclose(d.g.g, geom.inner.g):
+        if not (d.g is geom.inner or np.array_equal(d.g.g, geom.inner.g)):
             raise InputError("FinslerData metric does not match the geometry")
         rep = validate_finsler(d)
         if not rep.ok:
@@ -308,11 +308,12 @@ def scan_flags(
     """
     if n_samples < 1:
         raise InputError("n_samples must be positive")
-    if 16 * n_samples * geom.m_dim > np.iinfo(np.intp).max:  # numpy refuses the Y, U block
-        raise InputError(f"n_samples = {n_samples} is too large to allocate")
+    try:  # a size numpy cannot describe, or one that malloc refuses
+        Y, U = np.empty((2, n_samples, geom.m_dim))
+    except (ValueError, OverflowError, MemoryError):
+        raise InputError(f"n_samples = {n_samples} is too large to allocate") from None
     kernel = _Kernel(geom, d, method, convention)
     rng = np.random.default_rng(seed)
-    Y, U = np.empty((2, n_samples, geom.m_dim))
     for i in range(n_samples):
         flag = sample_flag(geom.inner, rng)
         Y[i], U[i] = flag.Y, flag.U

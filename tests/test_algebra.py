@@ -98,6 +98,16 @@ def test_jacobi_keeps_an_overflowed_defect():
     assert not defect <= TOL_HYPOTHESIS
 
 
+@pytest.mark.parametrize("dim, shape, message", [
+    (0, (0, 0, 0), r"^dimension must be positive, got 0$"),
+    (2, (3, 3, 3), r"^structure tensor shape \(3, 3, 3\) does not match dim 2$"),
+    (3, (3, 3), r"^structure tensor shape \(3, 3\) does not match dim 3$"),
+])
+def test_malformed_algebra_refused(dim, shape, message):
+    with pytest.raises(InputError, match=message):
+        LieAlgebraSpec(dim, np.zeros(shape))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_structure_constants_refused(bad):
     c = np.zeros((3, 3, 3))

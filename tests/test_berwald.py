@@ -191,6 +191,14 @@ def test_homogeneous_space_refused_by_name(su2, check):
         check(make_geometry(su2, h_dim=1), np.array([0.0, 0.5]))
 
 
+@pytest.mark.parametrize("check", [parallel_obstruction_space,
+                                   lambda L, g: ad_skew_check(L, g, np.zeros(2))],
+                         ids=["parallel_obstruction_space", "ad_skew_check"])
+def test_metric_on_m_only_refused(su2, check):
+    with pytest.raises(InputError, match=r"^metric must live on the full algebra \(h_dim = 0\)$"):
+        check(su2, InnerProduct(np.eye(2)))
+
+
 @pytest.mark.parametrize("check", [obstruction_report, sectional_along_X_sign])
 def test_wrong_length_drift_refused(su2, check):
     with pytest.raises(InputError, match="drift vector must have length 3"):

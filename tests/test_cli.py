@@ -242,19 +242,21 @@ def test_all_real_agrees_with_the_per_entry_check(xs):
 
 
 class TestTooLargeToAllocate:
-    """A size numpy refuses to describe (more than np.iinfo(np.intp).max bytes)
-    exits 1 with an error line.  Every size here is refused before any array
-    is allocated."""
+    """A size numpy refuses to describe (more than np.iinfo(np.intp).max bytes),
+    or one it can describe but that lies beyond a 47-bit address space, so
+    that malloc fails at once (2**20 - 1 and 10**17 here), exits 1 with an
+    error line.  Nothing is written to memory."""
 
-    def test_dim(self, capsys, tmp_path):
-        path = TestGate.write(tmp_path, {"dim": 10**7})
+    @pytest.mark.parametrize("dim", [10**7, 2**20 - 1])
+    def test_dim(self, capsys, tmp_path, dim):
+        path = TestGate.write(tmp_path, {"dim": dim})
         assert run(capsys, "validate", path) == (
-            1, "", "error: dim = 10000000 is too large: its structure tensor "
+            1, "", f"error: dim = {dim} is too large: its structure tensor "
                    "cannot be allocated\n")
 
     @pytest.mark.parametrize("command, config", [("scan", "su2.json"),
                                                  ("berwald", "su2_plus_r.json")])
-    @pytest.mark.parametrize("samples", [10**18, 10**20])
+    @pytest.mark.parametrize("samples", [10**18, 10**20, 10**17])
     def test_samples(self, capsys, command, config, samples):
         got = run(capsys, command, str(CONFIGS / config), "--samples", str(samples))
         assert got == (1, "", f"error: n_samples = {samples} is too large to allocate\n")

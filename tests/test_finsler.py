@@ -101,6 +101,16 @@ class TestFEval:
         with pytest.raises(InputError):
             F_eval(d, np.zeros(3))
 
+    def test_vector_of_the_wrong_length_refused(self):
+        d = FinslerData(g=InnerProduct(np.eye(3)), X=np.zeros(3))
+        with pytest.raises(InputError, match="^vector must have length 3$"):
+            F_eval(d, E4[0])
+
+
+def test_drift_of_the_wrong_length_refused():
+    with pytest.raises(InputError, match=r"^drift vector must have length 3, got shape \(4,\)$"):
+        FinslerData(g=InnerProduct(np.eye(3)), X=np.zeros(4))
+
 
 class TestFundamentalTensor:
     def test_riemannian_case_reduces_to_g(self):
@@ -190,6 +200,12 @@ class TestFundamentalTensor:
         d = FinslerData(g=InnerProduct(np.eye(3)), X=np.zeros(3))
         with pytest.raises(NumericError):
             g_Y_fd(d, E3[0], E3[1], E3[1], step=-1.0)
+
+    def test_step_leaving_the_domain_refused(self):
+        # the first stencil point Y + h u + h v is the origin, where F is undefined
+        d = FinslerData(g=InnerProduct(np.eye(3)), X=np.zeros(3))
+        with pytest.raises(NumericError, match="^finite-difference step left the domain of F$"):
+            g_Y_fd(d, E3[0], -0.5 * E3[0], -0.5 * E3[0], step=1.0)
 
 
 class TestPrintedBlocks:

@@ -188,11 +188,25 @@ class TestFlagCurvature:
         with pytest.raises(PreconditionError):
             flag_curvature(geom, d, Flag(Y=E3[0], U=E3[1]))
 
-    @pytest.mark.parametrize("g", [2.0 * np.eye(3), np.eye(2)])
+    # 0.999992 I is within allclose's rtol of I, but not the geometry's metric:
+    # a drift X = (0, 0, 1.000001) would pass |X| < 1 there and not in g = I
+    @pytest.mark.parametrize("g", [2.0 * np.eye(3), np.eye(2), 0.999992 * np.eye(3)])
     def test_metric_of_another_geometry_refused(self, su2, g):
         d = FinslerData(g=InnerProduct(g), X=np.zeros(len(g)))
         with pytest.raises(InputError, match="^FinslerData metric does not match"):
             flag_curvature(make_geometry(su2), d, Flag(Y=E3[0], U=E3[1]))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda geom, d, flag: puttmann_URYY(geom, flag.Y, flag.U, convention="verbatim"),
+         r"^convention must be one of \('oracle-aligned', 'paper-verbatim'\), got 'verbatim'$"),
+        (lambda geom, d, flag: flag_curvature(geom, d, flag, method="einsum"),
+         r"^method must be one of \('general', 'naturally-reductive', 'bi-invariant'\), "
+         r"got 'einsum'$"),
+    ], ids=["puttmann_URYY-convention", "flag_curvature-method"])
+    def test_unknown_name_refused(self, su2, call, message):
+        geom = make_geometry(su2)
+        with pytest.raises(InputError, match=message):
+            call(geom, FinslerData(g=geom.inner, X=np.zeros(3)), Flag(Y=E3[0], U=E3[1]))
 
     def test_biinvariant_method_needs_biinvariant_metric(self, heisenberg):
         geom = make_geometry(heisenberg)

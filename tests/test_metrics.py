@@ -88,6 +88,10 @@ class TestBiInvariance:
         # antisymmetric, so g0 = I cannot be bi-invariant
         assert not check_bi_invariance(heisenberg, np.eye(3)).ok
 
+    def test_form_of_the_wrong_shape_refused(self, su2):
+        with pytest.raises(InputError, match="^g0 shape does not match algebra dimension$"):
+            check_bi_invariance(su2, np.eye(2))
+
     def test_nonsymmetric_form_refused(self, su2):
         # the skew check reads <x,[z,y]>_0 off <[z,y],x>_0, so g0 = g0^T
         g0 = np.eye(3)
@@ -145,6 +149,11 @@ class TestOrthonormalizeFlag:
         flag = orthonormalize_flag(g, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         assert np.allclose(flag.Y, [0.0, 0.5])
 
+    @pytest.mark.parametrize("y, u", [(np.eye(3)[0], np.eye(2)[1]), (np.eye(2)[0], np.eye(3)[1])])
+    def test_vectors_of_the_wrong_length_refused(self, y, u):
+        with pytest.raises(InputError, match="^flag vectors must have length 3$"):
+            orthonormalize_flag(InnerProduct(np.eye(3)), y, u)
+
     def test_degenerate_flag_raises(self):
         g = InnerProduct(np.eye(3))
         with pytest.raises(FlagError):
@@ -176,6 +185,11 @@ def test_g0_is_checked_against_the_algebra_first(su2_plus_r):
         make_geometry(su2_plus_r, g0=np.eye(3))
 
 
+def test_phi_must_be_a_metric_on_m(su2_plus_r):
+    with pytest.raises(InputError, match=r"^phi must be 3x3 \(metric on m\), got \(4, 4\)$"):
+        make_geometry(su2_plus_r, h_dim=1, phi=np.eye(4))
+
+
 def test_g0_must_be_positive_definite():
     with pytest.raises(ValidationError):
         make_geometry(abelian(2), g0=np.diag([1.0, -1.0]))
@@ -201,6 +215,18 @@ def test_phi_must_be_finite(bad):
 def test_metric_must_be_finite(bad):
     with pytest.raises(InputError, match="^metric must be finite$"):
         InnerProduct(np.diag([bad, 1.0]))
+
+
+@pytest.mark.parametrize("g, error, message", [
+    (np.ones((2, 3)), InputError, r"^metric must be square, got shape \(2, 3\)$"),
+    (np.ones(2), InputError, r"^metric must be square, got shape \(2,\)$"),
+    ([[1.0, 0.5], [0.0, 1.0]], ValidationError, r"^metric is not symmetric \(defect 0.5\)$"),
+    (np.diag([1.0, -2.0]), ValidationError,
+     r"^metric is not positive-definite \(min eigenvalue -2\)$"),
+])
+def test_malformed_metric_refused(g, error, message):
+    with pytest.raises(error, match=message):
+        InnerProduct(g)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

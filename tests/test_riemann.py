@@ -5,11 +5,15 @@ from hypothesis import given, settings, strategies as st
 import flagcurv.riemann
 from flagcurv import (
     FlagError,
+    HomogeneousGeometry,
     InnerProduct,
     InputError,
     LieAlgebraSpec,
     PreconditionError,
     bracket,
+    check_ad_h_invariance,
+    check_naturally_reductive,
+    check_reductive,
     curvature_oracle,
     koszul_connection,
     make_geometry,
@@ -167,6 +171,37 @@ class TestNatReductive:
         with pytest.raises(PreconditionError, match="h-component"):
             nat_reductive_R(LieAlgebraSpec(3, c), 1,
                             E3[1, 1:], E3[2, 1:])
+
+
+@pytest.mark.parametrize("h_dim", [-1, 4])
+@pytest.mark.parametrize("call", [
+    lambda L, h: check_reductive(L, h),
+    lambda L, h: HomogeneousGeometry(L, h, np.eye(3), np.eye(3)),
+    lambda L, h: nat_reductive_R(L, h, E3[0], E3[1]),
+], ids=["check_reductive", "HomogeneousGeometry", "nat_reductive_R"])
+def test_h_dim_out_of_range_refused(su2, call, h_dim):
+    with pytest.raises(InputError, match=rf"^h_dim must lie in \[0, 3\], got {h_dim}$"):
+        call(su2, h_dim)
+
+
+@pytest.mark.parametrize("check", [check_ad_h_invariance, check_naturally_reductive])
+def test_metric_checks_refuse_a_metric_larger_than_the_algebra(su2, check):
+    with pytest.raises(InputError, match="^metric dimension 4 exceeds algebra dimension 3$"):
+        check(su2, InnerProduct(np.eye(4)))
+
+
+def test_nat_reductive_R_refuses_a_metric_not_on_m(su2_u1):
+    with pytest.raises(InputError, match="^metric dimension 3 does not match m_dim 2$"):
+        nat_reductive_R(su2_u1, 1, E3[0, 1:], E3[1, 1:], g=InnerProduct(np.eye(3)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda L, u: nat_reductive_R(L, 1, u, E3[1, 1:]),
+    lambda L, u: puttmann_URYY(make_geometry(L, h_dim=1), E3[1, 1:], u),
+], ids=["nat_reductive_R", "puttmann_URYY"])
+def test_m_vector_of_the_wrong_length_refused(su2_u1, call):
+    with pytest.raises(InputError, match=r"^expected m-vector of length 2, got shape \(3,\)$"):
+        call(su2_u1, E3[0])
 
 
 class TestSectional:
