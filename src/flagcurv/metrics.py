@@ -146,4 +146,3 @@ def orthonormalize_flag(
     w = w - g.dot(Y, w) * Y  # re-orthogonalize to kill cancellation
     U = w / g.norm(w)
     return Flag(Y=Y, U=U)
-

@@ -48,7 +48,7 @@ class TestInnerFromPhi:
         with pytest.raises(ValidationError):
             make_metric(np.eye(2), np.diag([1.0, -2.0]))
 
-    @pytest.mark.parametrize("name", ["pair", "phi_full", "inner"])
+    @pytest.mark.parametrize("name", ["pair", "phi_full", "inner", "reductive"])
     def test_derived_matrices_are_not_arguments(self, name):
         with pytest.raises(TypeError):
             HomogeneousGeometry(abelian(2), 0, np.eye(2), np.eye(2), **{name: np.eye(2)})
