@@ -125,9 +125,16 @@ def jacobi_defect(L: LieAlgebraSpec) -> float:
 
 def derived_subalgebra(L: LieAlgebraSpec) -> np.ndarray:
     """Orthonormal basis (rows) of span{[e_i, e_j]}, via SVD rank reveal."""
-    rows = L.c.reshape(L.dim * L.dim, L.dim)
+    return _bracket_span(L.c)
+
+
+def _bracket_span(c: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the span of the rows c[i, j] of an
+    (m, m, m) tensor, via SVD rank reveal."""
+    m = c.shape[-1]
+    rows = c.reshape(m * m, m)
     if not np.any(rows):
-        return np.zeros((0, L.dim))
+        return np.zeros((0, m))
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
     rank = int(np.sum(s > TOL_RANK * max(1.0, s[0])))
     return vt[:rank]

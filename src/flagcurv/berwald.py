@@ -1,11 +1,13 @@
-"""Obstructions to the Chern-equals-Levi-Civita hypothesis (Lie groups).
+"""Berwald admissibility of a drift vector on G/H, at any isotropy.
 
-A drift vector X can make F = (alpha + beta)^2 / alpha of Berwald type
-only if the corresponding field is parallel.  The directly checkable
-necessary conditions are g(X, [g, g]) = 0 and ad(X) g-skew-adjoint; a
-direct nabla X = 0 check through the geometry's Levi-Civita connection
-supplies the in-package sufficiency test.  Perfect algebras exclude every
-X != 0.  The checks need trivial isotropy (h_dim = 0).
+A drift vector X makes F = (alpha + beta)^2 / alpha of Berwald type
+exactly when the invariant field X is parallel; the verdict is the
+geometry's drift_parallel(X) on a nonzero X.  By the Nomizu map,
+2 <Lambda(u) X, v> = -(<[X,u]_m, v> + <u, [X,v]_m>) + <[v,u]_m, X>, so
+nabla X = 0 exactly when ad_m(X) is g-skew on m, X is g-orthogonal to
+[m, m]_m and [h, X] = 0; the first two are reported as diagnostics.
+Perfect algebras exclude every X != 0.  The checks need a reductive
+split and an ad(h)-invariant metric (PreconditionError).
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TOL_HYPOTHESIS, TOL_RANK, LieAlgebraSpec, derived_subalgebra
-from .errors import FlagError, InputError, PreconditionError
+from .algebra import TOL_HYPOTHESIS, TOL_RANK, LieAlgebraSpec, _bracket_span, derived_subalgebra
+from .errors import FlagError, InputError
+from .flagcurvature import _check_draws
 from .geometry import HomogeneousGeometry
-from .metrics import CheckReport, InnerProduct, _skew_check
-from .riemann import sectional
+from .metrics import CheckReport, InnerProduct, _h_dim_of, _skew_check, require
+from .riemann import _require_reductive, sectional
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,27 +64,31 @@ def _unit_orthogonal(g: InnerProduct, Xu: np.ndarray, v: np.ndarray) -> np.ndarr
     return v[keep] / nv[keep, None]
 
 
-def _group(
-    geom: HomogeneousGeometry, X: np.ndarray
-) -> tuple[LieAlgebraSpec, InnerProduct, np.ndarray]:
-    """Algebra, metric and drift of a geometry with trivial isotropy."""
-    if geom.h_dim:
-        raise PreconditionError(
-            f"Berwald checks need h_dim = 0, got h_dim = {geom.h_dim}")
+def _drift(geom: HomogeneousGeometry, X: np.ndarray) -> np.ndarray:
+    """The drift as an m-vector of a geometry whose connection is the
+    metric's Levi-Civita one: a reductive split, an ad(h)-invariant metric."""
     X = np.asarray(X, dtype=float)
-    if X.shape != (geom.algebra.dim,):
-        raise InputError(f"drift vector must have length {geom.algebra.dim}")
-    return geom.algebra, geom.inner, X
+    if X.shape != (geom.m_dim,):
+        raise InputError(f"drift vector must have length {geom.m_dim}")
+    _require_reductive(geom.reductive)
+    require([("metric is not ad(h)-invariant", geom.ad_h_invariance)])
+    return X
+
+
+def _ad_m(L: LieAlgebraSpec, h: int, X: np.ndarray) -> np.ndarray:
+    """ad_m(X) on row vectors of m, v @ ad_m(X) = [X, v]_m, for X in m (the
+    basis vectors from h on): the m-block of ad of X zero-padded on h."""
+    return L.ad(np.concatenate((np.zeros(h), X)))[h:, h:]
 
 
 def parallel_obstruction_space(L: LieAlgebraSpec, g: InnerProduct) -> np.ndarray:
-    """g-orthonormal basis (rows) of {x : g(x, [g, g]) = 0}.
+    """g-orthonormal basis (rows) of {x in m : g(x, [m, m]_m) = 0}, for g on
+    m, the last g.dim basis vectors.
 
-    Any Berwald-admissible drift vector must lie in this space.
+    A parallel drift vector lies in this space.
     """
-    if g.dim != L.dim:
-        raise InputError("metric must live on the full algebra (h_dim = 0)")
-    return _orthogonal_complement(derived_subalgebra(L), g)
+    h = _h_dim_of(L, g)
+    return _orthogonal_complement(_bracket_span(L.c[h:, h:, h:]), g)
 
 
 def _orthogonal_complement(derived: np.ndarray, g: InnerProduct) -> np.ndarray:
@@ -95,23 +102,23 @@ def _orthogonal_complement(derived: np.ndarray, g: InnerProduct) -> np.ndarray:
 
 
 def ad_skew_check(L: LieAlgebraSpec, g: InnerProduct, X: np.ndarray) -> CheckReport:
-    """Defect of <[X,u],v> + <u,[X,v]> = 0 over all basis pairs."""
-    if g.dim != L.dim:
-        raise InputError("metric must live on the full algebra (h_dim = 0)")
-    return _skew_check(L.ad(np.asarray(X, dtype=float))[None], g.g)
+    """Defect of <[X,u]_m,v> + <u,[X,v]_m> = 0 over all basis pairs of m,
+    for g on m, the last g.dim basis vectors."""
+    X = np.asarray(X, dtype=float)
+    return _skew_check(_ad_m(L, _h_dim_of(L, g), X)[None], g.g)
 
 
 def obstruction_report(geom: HomogeneousGeometry, X: np.ndarray) -> ObstructionReport:
-    """Aggregate Berwald admissibility of a candidate drift vector."""
-    L, g, X = _group(geom, X)
-    derived = derived_subalgebra(L)
-    space = _orthogonal_complement(derived, g)
+    """Berwald admissibility of a candidate drift vector: |X|_g > 0 and
+    drift_parallel(X), with the parallel space and the ad-skew check."""
+    L, g, X, h = geom.algebra, geom.inner, _drift(geom, X), geom.h_dim
+    derived = derived_subalgebra(L)  # of g; with h_dim = 0 also [m, m]_m
+    space = _orthogonal_complement(_bracket_span(L.c[h:, h:, h:]) if h else derived, g)
     # residual of X after g-orthogonal projection onto the space
     resid = X - space.T @ (space @ g.g @ X)
     in_space = g.norm(resid) <= TOL_HYPOTHESIS * max(1.0, g.norm(X))
     skew = ad_skew_check(L, g, X)
     nabla = geom.drift_parallel(X)
-    admissible = bool(in_space and skew.ok and nabla.ok and g.norm(X) > 0)
     return ObstructionReport(
         perfect=derived.shape[0] == L.dim,
         parallel_space=space,
@@ -119,7 +126,7 @@ def obstruction_report(geom: HomogeneousGeometry, X: np.ndarray) -> ObstructionR
         ad_skew_ok=skew.ok,
         ad_skew_defect=skew.max_defect,
         nabla_X_norm=nabla.max_defect,
-        berwald_admissible=admissible,
+        berwald_admissible=bool(nabla.ok and g.norm(X) > 0),
     )
 
 
@@ -131,26 +138,25 @@ def sectional_along_X_sign(
 ) -> SectionalSignReport:
     """Sample K(X, u) for u on the g-unit sphere orthogonal to X.
 
-    For an admissible X all samples must be >= 0; zeros occur exactly for
-    u g-orthogonal to the image [X, g].  Constructed orthogonal witnesses
-    are returned alongside the sampled minimum.  With dim < 2 no 2-plane
-    contains X, so there is no sample (FlagError).
+    X need not be parallel; for a parallel X every sample is 0.  Witnesses
+    g-orthogonal to the image [X, m]_m, where K must vanish for a
+    bi-invariant metric, are returned alongside the sampled extremes.  With
+    m_dim < 2 no 2-plane contains X, so there is no sample (FlagError).
     """
-    L, g, X = _group(geom, X)
-    if L.dim < 2:
+    L, g, X, h = geom.algebra, geom.inner, _drift(geom, X), geom.h_dim
+    if geom.m_dim < 2:
         raise FlagError("flags need m_dim >= 2")
-    if n_samples < 1:
-        raise InputError("n_samples must be positive")
-    try:  # one row of n normals per sample, drawn as a per-sample loop would
-        draws = np.random.default_rng(seed).standard_normal((n_samples, L.dim))
+    _check_draws(n_samples, seed)
+    try:  # one row of m normals per sample, drawn as a per-sample loop would
+        draws = np.random.default_rng(seed).standard_normal((n_samples, geom.m_dim))
     except (ValueError, OverflowError, MemoryError):  # beyond numpy's sizes, or malloc's
         raise InputError(f"n_samples = {n_samples} is too large to allocate") from None
     if g.norm(X) == 0.0:
         raise InputError("X must be nonzero")
     Xu = X / g.norm(X)
     u = _unit_orthogonal(g, Xu, draws)
-    # witnesses orthogonal to the image [X, g]: K must vanish there
-    w = _unit_orthogonal(g, Xu, _null_rows(L.ad(X) @ g.g))  # L.ad(X) has rows [X, e_j]
+    # witnesses orthogonal to the image [X, m]_m: K must vanish there
+    w = _unit_orthogonal(g, Xu, _null_rows(_ad_m(L, h, X) @ g.g))  # rows [X, e_j]_m
     ks, kw = np.split(sectional(L, g, geom.connection, X, np.vstack([u, w])), [len(u)])
     return SectionalSignReport(
         min_K=float(ks.min()),

@@ -122,26 +122,18 @@ def cmd_validate(config: ProblemConfig, args) -> int:
     # geom.connection is the metric's Levi-Civita connection only on a
     # reductive split with an ad(h)-invariant metric
     red = geom.reductive
-    if (geom.h_dim > 0 and g.norm(data.X) > 0 and red.subalgebra_ok
-            and red.ad_invariant_ok and geom.ad_h_invariance.ok):
-        dp = geom.drift_parallel(data.X)
-        checks.append(("drift_parallel", dp.ok, dp.max_defect, True))
-
     berwald_status = "not checked"
-    if geom.h_dim == 0 and g.norm(data.X) > 0:
-        rep = berwald_mod.obstruction_report(geom, data.X)
-        checks.append(("berwald_admissible", rep.berwald_admissible,
-                       rep.nabla_X_norm, True))
-        if rep.perfect and not rep.berwald_admissible:
-            berwald_status = (
-                "inadmissible: the algebra is perfect ([g, g] = g), so no "
-                "nonzero drift vector is parallel and no non-Riemannian "
-                "metric of this type exists"
-            )
-        else:
-            berwald_status = "admissible" if rep.berwald_admissible else "inadmissible"
-    elif geom.h_dim == 0:
+    if red.subalgebra_ok and red.ad_invariant_ok and geom.ad_h_invariance.ok:
         berwald_status = "trivial (X = 0: metric is Riemannian)"
+        if g.norm(data.X) > 0:
+            rep = berwald_mod.obstruction_report(geom, data.X)
+            checks.append(("berwald_admissible", rep.berwald_admissible,
+                           rep.nabla_X_norm, True))
+            berwald_status = "admissible" if rep.berwald_admissible else "inadmissible"
+            if rep.perfect and not rep.berwald_admissible:
+                berwald_status += (": the algebra is perfect ([g, g] = g), so no nonzero "
+                                   "drift vector is parallel and no non-Riemannian metric "
+                                   "of this type exists")
 
     failed_hard = [name for name, ok, _, hard in checks if hard and not ok]
     if args.output == "json":
@@ -293,33 +285,18 @@ def cmd_scan(config: ProblemConfig, args) -> int:
 def cmd_berwald(config: ProblemConfig, args) -> int:
     opts = _options(config, samples=args.samples, seed=args.seed)
     geom, data, _ = _gate(config, args, None)
-    if geom.h_dim > 0:
-        if args.output == "json":
-            emit_json({"command": "berwald", "name": config.name,
-                       "status": "not checked",
-                       "reason": "admissibility checks apply to trivial isotropy only"})
-        else:
-            emit_table([("status", "not checked (h_dim > 0)")],
-                       title=f"berwald {config.name}")
-        return EXIT_OK
     rep = berwald_mod.obstruction_report(geom, data.X)
     sect = None
     if rep.berwald_admissible and geom.m_dim >= 2:  # else no 2-plane contains X
         sect = berwald_mod.sectional_along_X_sign(
             geom, data.X, n_samples=opts.samples, seed=opts.seed
         )
+    fields = [("in_parallel_space", rep.in_parallel_space), ("ad_skew_ok", rep.ad_skew_ok),
+              ("ad_skew_defect", rep.ad_skew_defect), ("nabla_X_norm", rep.nabla_X_norm),
+              ("berwald_admissible", rep.berwald_admissible)]
     if args.output == "json":
-        doc = {
-            "command": "berwald",
-            "name": config.name,
-            "perfect": rep.perfect,
-            "parallel_space": [list(row) for row in rep.parallel_space],
-            "in_parallel_space": rep.in_parallel_space,
-            "ad_skew_ok": rep.ad_skew_ok,
-            "ad_skew_defect": rep.ad_skew_defect,
-            "nabla_X_norm": rep.nabla_X_norm,
-            "berwald_admissible": rep.berwald_admissible,
-        }
+        doc = {"command": "berwald", "name": config.name, "perfect": rep.perfect,
+               "parallel_space": [list(row) for row in rep.parallel_space], **dict(fields)}
         if sect is not None:
             doc["sectional_along_X"] = {
                 "min_K": sect.min_K,
@@ -331,15 +308,9 @@ def cmd_berwald(config: ProblemConfig, args) -> int:
             }
         emit_json(doc)
     else:
-        rows = [
-            ("perfect", str(rep.perfect)),
-            ("parallel_space_dim", str(rep.parallel_space.shape[0])),
-            ("in_parallel_space", str(rep.in_parallel_space)),
-            ("ad_skew_ok", str(rep.ad_skew_ok)),
-            ("ad_skew_defect", fmt(rep.ad_skew_defect)),
-            ("nabla_X_norm", fmt(rep.nabla_X_norm)),
-            ("berwald_admissible", str(rep.berwald_admissible)),
-        ]
+        rows = [("perfect", str(rep.perfect)),
+                ("parallel_space_dim", str(rep.parallel_space.shape[0])),
+                *((k, fmt(v) if isinstance(v, float) else str(v)) for k, v in fields)]
         if sect is not None:
             rows.append(("sectional min_K", fmt(sect.min_K)))
             rows.append(("sectional max_K", fmt(sect.max_K)))

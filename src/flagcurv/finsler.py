@@ -11,6 +11,7 @@ as the oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +74,19 @@ def F_eval(d: FinslerData, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape != (d.g.dim,):
         raise InputError(f"vector must have length {d.g.dim}")
-    alpha = d.g.norm(y)
-    if alpha == 0.0:
-        raise InputError("F is undefined at y = 0")
+    alpha = _alpha(d.g, y, "F is undefined at y = 0")
     return (alpha + d.g.dot(d.X, y)) ** 2 / alpha
+
+
+def _alpha(g: InnerProduct, y: np.ndarray, at_zero: str) -> float:
+    """alpha(y) = |y|_g, refusing (InputError) a y that is not finite or
+    has no finite g-length, and y = 0 with the words at_zero."""
+    alpha = g.norm(y)
+    if not math.isfinite(alpha):
+        raise InputError("vector must be finite, with a finite g-length")
+    if alpha == 0.0:
+        raise InputError(at_zero)
+    return alpha
 
 
 def g_Y_matrix(d: FinslerData, Y: np.ndarray) -> np.ndarray:
@@ -87,9 +97,7 @@ def g_Y_matrix(d: FinslerData, Y: np.ndarray) -> np.ndarray:
     with b = gX and a_Y = gY/alpha (Chern-Shen, Riemann-Finsler Geometry).
     """
     Y = np.asarray(Y, dtype=float)
-    alpha = d.g.norm(Y)
-    if alpha == 0.0:
-        raise InputError("g_Y is undefined at Y = 0")
+    alpha = _alpha(d.g, Y, "g_Y is undefined at Y = 0")
     G = d.g.g
     a_Y = G @ Y / alpha
     b = G @ d.X
@@ -121,10 +129,9 @@ def g_Y_fd(
     Y = np.asarray(Y, dtype=float)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if d.g.dot(Y, Y) == 0.0:
-        raise InputError("g_Y is undefined at Y = 0")
-    if step <= 0:
-        raise NumericError(f"step must be positive, got {step:g}")
+    _alpha(d.g, Y, "g_Y is undefined at Y = 0")
+    if not (math.isfinite(step) and step > 0):
+        raise NumericError(f"step must be positive and finite, got {step:g}")
 
     # Cross differences cancel ~10 leading digits at step 1e-5, so evaluate
     # F^2 in extended precision to keep the quotient accurate.

@@ -291,6 +291,15 @@ def sample_flag(g: InnerProduct, rng: np.random.Generator) -> Flag:
             continue  # resample; deterministic given the generator state
 
 
+def _check_draws(n_samples: int, seed: int) -> None:
+    """Refuse (InputError) an n_samples that is not a positive integer or a
+    seed that is not a non-negative one; numpy integers count, bools do not."""
+    for value, low, words in ((n_samples, 1, "n_samples must be a positive integer"),
+                              (seed, 0, "seed must be a non-negative integer")):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise InputError(words)
+
+
 def scan_flags(
     geom: HomogeneousGeometry,
     d: FinslerData,
@@ -306,8 +315,7 @@ def scan_flags(
     evaluated on blocks of _BLOCK rows.  Among flags whose K ties with the
     extreme (within 1e-12 max(1, |K|)), the first is the witness.
     """
-    if n_samples < 1:
-        raise InputError("n_samples must be positive")
+    _check_draws(n_samples, seed)
     try:  # a size numpy cannot describe, or one that malloc refuses
         Y, U = np.empty((2, n_samples, geom.m_dim))
     except (ValueError, OverflowError, MemoryError):

@@ -320,16 +320,20 @@ class TestValidateCommand:
     ])
     def test_drift_parallel_row_at_positive_h_dim(self, capsys, tmp_path, X, code, ok,
                                                   defect):
-        # S^2 x R with phi = I is ad(h)-invariant, so the drift is checked
+        # S^2 x R with phi = I is ad(h)-invariant, so the drift is checked:
+        # the berwald_admissible row is drift_parallel at every isotropy
         doc = json.loads((GOLDEN / "input_s2_r_coupled.json").read_text())
         doc["phi"], doc["X"] = np.eye(3).tolist(), X
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         got, out, _ = run(capsys, "validate", str(p), "--output", "json")
         assert got == code
-        rows = {c["name"]: c for c in json.loads(out)["checks"]}
-        assert rows["drift_parallel"] == {"name": "drift_parallel", "ok": ok,
-                                          "value": defect, "hard": True}
+        doc = json.loads(out)
+        rows = {c["name"]: c for c in doc["checks"]}
+        assert "drift_parallel" not in rows
+        assert rows["berwald_admissible"] == {"name": "berwald_admissible", "ok": ok,
+                                              "value": defect, "hard": True}
+        assert doc["berwald"] == ("admissible" if ok else "inadmissible")
         if not ok:  # validate refuses what curvature refuses
             for method in ("general", "naturally-reductive", "bi-invariant"):
                 assert run(capsys, "curvature", str(p), "--method", method) == (
@@ -474,17 +478,44 @@ class TestBerwaldCommand:
         assert doc["nabla_X_norm"] <= 1e-10
         assert abs(doc["sectional_along_X"]["min_K"]) <= 1e-10
 
-    def test_homogeneous_not_checked(self, capsys):
+    def test_homogeneous_full_report(self, capsys):
         code, out, _ = run(capsys, "berwald", str(CONFIGS / "su2_u1.json"),
                            "--output", "json")
         assert code == 0
-        assert json.loads(out)["status"] == "not checked"
+        doc = json.loads(out)
+        assert (doc["perfect"], doc["berwald_admissible"]) == (True, False)  # X = 0
+        assert "status" not in doc and "sectional_along_X" not in doc
 
-    def test_homogeneous_not_checked_table(self, capsys):
+    def test_homogeneous_full_report_table(self, capsys):
         code, out, _ = run(capsys, "berwald", str(CONFIGS / "su2_u1.json"),
                            "--output", "table")
         assert code == 0
-        assert "not checked" in out
+        assert "berwald_admissible  False" in out and "not checked" not in out
+
+    def test_metric_that_is_not_ad_h_invariant_exits_3(self, capsys):
+        # S^2 x R with phi coupling the sphere to R: refused as curvature refuses it
+        path = str(GOLDEN / "input_s2_r_coupled.json")
+        err = "precondition error: metric is not ad(h)-invariant (defect 0.3)\n"
+        for command in ("berwald", "curvature"):
+            assert run(capsys, command, path) == (3, "", err)
+        assert run(capsys, "berwald", path, "--force") == (3, "", err)
+
+    # E(2) x S^2: g = e(2) + su(2) in the basis (f1 | r, t1, t2, f2, f3), h = u(1)
+    E2_S2 = {"dim": 6, "h_dim": 1, "X": [0.5, 0.0, 0.0, 0.0, 0.0],
+             "structure_constants": [[2, 3, 4, 1.0], [2, 4, 3, -1.0],
+                                     [1, 5, 6, 1.0], [5, 6, 1, 1.0], [6, 1, 5, 1.0]],
+             "flags": [[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]]}
+
+    def test_e2_times_s2_rotation_admissible(self, capsys, tmp_path):
+        # X = r/2 is parallel for g0 = I, though r is not central in g
+        path = TestGate.write(tmp_path, self.E2_S2)
+        code, out, _ = run(capsys, "berwald", path, "--output", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["berwald_admissible"], doc["nabla_X_norm"]) == (True, 0.0)
+        assert doc["sectional_along_X"]["min_K"] == doc["sectional_along_X"]["max_K"] == 0.0
+        code, out, _ = run(capsys, "validate", path, "--output", "json")
+        assert (code, json.loads(out)["berwald"]) == (0, "admissible")
 
 
 class TestGate:
@@ -512,9 +543,9 @@ class TestGate:
         assert "check jacobi fails" in err
         assert run(capsys, command, path, "--force")[0] == 0
 
-    # forced, berwald reports "not checked" for any h_dim > 0
+    # forced, each refuses the split itself, as the Levi-Civita connection needs it
     @pytest.mark.parametrize("command, forced", [
-        ("curvature", 3), ("scan", 3), ("berwald", 0),
+        ("curvature", 3), ("scan", 3), ("berwald", 3),
     ])
     def test_split_that_is_not_reductive(self, capsys, tmp_path, command, forced):
         path = self.write(tmp_path, self.NOT_REDUCTIVE)

@@ -101,6 +101,16 @@ class TestFEval:
         with pytest.raises(InputError):
             F_eval(d, np.zeros(3))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("y", [[np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0],
+                                   [1e200, 0.0, 0.0]])  # finite, but its g-length overflows
+    def test_non_finite_vector_refused(self, y):
+        d = FinslerData(g=InnerProduct(np.eye(3)), X=0.5 * E3[1])
+        for call in (lambda: F_eval(d, np.array(y)), lambda: g_Y_matrix(d, np.array(y)),
+                     lambda: g_Y_fd(d, np.array(y), E3[0], E3[1])):
+            with pytest.raises(InputError, match="^vector must be finite, with a finite g-length$"):
+                call()
+
     def test_vector_of_the_wrong_length_refused(self):
         d = FinslerData(g=InnerProduct(np.eye(3)), X=np.zeros(3))
         with pytest.raises(InputError, match="^vector must have length 3$"):
@@ -198,8 +208,9 @@ class TestFundamentalTensor:
 
     def test_bad_step_rejected(self):
         d = FinslerData(g=InnerProduct(np.eye(3)), X=np.zeros(3))
-        with pytest.raises(NumericError):
-            g_Y_fd(d, E3[0], E3[1], E3[1], step=-1.0)
+        for step in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(NumericError, match="^step must be positive and finite, got"):
+                g_Y_fd(d, E3[0], E3[1], E3[1], step=step)
 
     def test_step_leaving_the_domain_refused(self):
         # the first stencil point Y + h u + h v is the origin, where F is undefined

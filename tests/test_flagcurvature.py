@@ -309,12 +309,26 @@ class TestNumeratorIdentity:
 
 
 class TestScan:
-    @pytest.mark.parametrize("n_samples", [0, -1])
+    @pytest.mark.parametrize("n_samples", [0, -1, 2.5, True])
     def test_no_samples_refused(self, su2, n_samples):
         geom = make_geometry(su2)
         d = FinslerData(g=geom.inner, X=np.zeros(3))
-        with pytest.raises(InputError, match="^n_samples must be positive$"):
+        with pytest.raises(InputError, match="^n_samples must be a positive integer$"):
             scan_flags(geom, d, n_samples=n_samples, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_refused(self, su2, seed):
+        geom = make_geometry(su2)
+        d = FinslerData(g=geom.inner, X=np.zeros(3))
+        with pytest.raises(InputError, match="^seed must be a non-negative integer$"):
+            scan_flags(geom, d, n_samples=5, seed=seed)
+
+    def test_numpy_integers_accepted(self, su2):
+        geom = make_geometry(su2)
+        d = FinslerData(g=geom.inner, X=np.zeros(3))
+        got = scan_flags(geom, d, n_samples=np.int64(5), seed=np.uint8(3))
+        want = scan_flags(geom, d, n_samples=5, seed=3)
+        assert (got.min_K, got.max_K, got.mean_K) == (want.min_K, want.max_K, want.mean_K)
 
     @pytest.mark.parametrize("h_dim", [0, 3], ids=["m_dim=1", "h_dim=dim"])
     def test_no_flags_without_two_dimensions(self, su2, h_dim):
