@@ -22,13 +22,7 @@ import numpy as np
 from . import berwald as berwald_mod
 from .algebra import TOL_HYPOTHESIS, jacobi_defect
 from .config import ProblemConfig, RunOptions, build_problem, parse_config
-from .errors import (
-    FlagcurvError,
-    InputError,
-    NumericError,
-    PreconditionError,
-    ValidationError,
-)
+from .errors import FlagcurvError, InputError, PreconditionError, ValidationError
 from .finsler import validate_finsler
 from .flagcurvature import CONVENTIONS, METHODS, _Kernel, hypotheses, scan_flags
 from .metrics import orthonormalize_flag, require
@@ -103,7 +97,6 @@ def _structure_checks(geom) -> list[tuple[str, bool, float, bool]]:
 
 def cmd_validate(config: ProblemConfig, args) -> int:
     geom, data, _ = build_problem(config)
-    g = geom.inner
     checks = _structure_checks(geom)
 
     bi = geom.g0_bi_invariance
@@ -125,12 +118,11 @@ def cmd_validate(config: ProblemConfig, args) -> int:
     berwald_status = "not checked"
     if red.subalgebra_ok and red.ad_invariant_ok and geom.ad_h_invariance.ok:
         berwald_status = "trivial (X = 0: metric is Riemannian)"
-        if g.norm(data.X) > 0:
-            rep = berwald_mod.obstruction_report(geom, data.X)
-            checks.append(("berwald_admissible", rep.berwald_admissible,
-                           rep.nabla_X_norm, True))
-            berwald_status = "admissible" if rep.berwald_admissible else "inadmissible"
-            if rep.perfect and not rep.berwald_admissible:
+        if geom.inner.norm(data.X) > 0:
+            nabla = geom.drift_parallel(data.X)
+            checks.append(("berwald_admissible", nabla.ok, nabla.max_defect, True))
+            berwald_status = "admissible" if nabla.ok else "inadmissible"
+            if not nabla.ok and berwald_mod.is_perfect(geom.algebra):
                 berwald_status += (": the algebra is perfect ([g, g] = g), so no nonzero "
                                    "drift vector is parallel and no non-Riemannian metric "
                                    "of this type exists")
@@ -396,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NumericError, FlagcurvError) as exc:
+    except FlagcurvError as exc:  # NumericError, and any other package error
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

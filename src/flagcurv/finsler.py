@@ -89,6 +89,11 @@ def _alpha(g: InnerProduct, y: np.ndarray, at_zero: str) -> float:
     return alpha
 
 
+def _require_finite(words: str, *xs: np.ndarray) -> None:
+    if not all(np.isfinite(x).all() for x in xs):
+        raise InputError(f"{words} must be finite")
+
+
 def g_Y_matrix(d: FinslerData, Y: np.ndarray) -> np.ndarray:
     """Fundamental tensor at Y as one symmetric matrix.
 
@@ -114,8 +119,9 @@ def g_Y_matrix(d: FinslerData, Y: np.ndarray) -> np.ndarray:
 
 def g_Y_closed(d: FinslerData, Y: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     """Closed-form g_Y(u, v) = u . g_Y_matrix(Y) . v."""
-    u = np.asarray(u, dtype=float)
-    return float(u @ g_Y_matrix(d, Y) @ np.asarray(v, dtype=float))
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    _require_finite("u and v", u, v)
+    return float(u @ g_Y_matrix(d, Y) @ v)
 
 
 def g_Y_fd(
@@ -130,6 +136,7 @@ def g_Y_fd(
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     _alpha(d.g, Y, "g_Y is undefined at Y = 0")
+    _require_finite("u and v", u, v)
     if not (math.isfinite(step) and step > 0):
         raise NumericError(f"step must be positive and finite, got {step:g}")
 
@@ -180,6 +187,7 @@ def numerator_identity_check(
     _require_orthonormal(g, flag)
     Y, U = flag.Y, flag.U
     Ruyy = np.asarray(Ruyy, dtype=float)
+    _require_finite("Ruyy", Ruyy)
     if gy_source == "closed":
         lhs = g_Y_closed(d, Y, Ruyy, U)
     elif gy_source == "fd":
@@ -199,6 +207,7 @@ def numerator_identity_check(
 def _require_orthonormal(g: InnerProduct, flag: Flag) -> None:
     if np.shape(flag.Y) != (g.dim,) or np.shape(flag.U) != (g.dim,):
         raise InputError(f"flag vectors must have length {g.dim}")
+    _require_finite("flag vectors", flag.Y, flag.U)
     defect = max(
         abs(g.dot(flag.Y, flag.Y) - 1.0),
         abs(g.dot(flag.U, flag.U) - 1.0),

@@ -143,40 +143,35 @@ class _Kernel:
         self.geom, self.method, self.convention = geom, method, convention
         self.Xg = d.X @ geom.inner.g
 
-    def __call__(self, Y: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """(URYY, R(U,Y)Y or None) for g-orthonormal flags whose Y and U are
-        the rows of two (N, m) stacks: an (N,) and an (N, m) array; the
-        general method's closed form gives no R(U,Y)Y."""
+    def __call__(self, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """The method's own <R(U,Y)Y,U>, an (N,) array, for g-orthonormal
+        flags whose Y and U are the rows of two (N, m) stacks."""
         geom = self.geom
         h, N = geom.h_dim, len(Y)
         YU = np.zeros((2 * N, geom.algebra.dim))
         YU[:N, h:], YU[N:, h:] = Y, U
-        if self.method != "general":
-            r = _nat_reductive_RUYY(geom.algebra, YU[:N], YU[N:], h)
-            return _rowdot(U @ geom.inner.g, r), r
-        return _closed_URYY(geom, YU, self.convention), None
+        if self.method == "general":
+            return _closed_URYY(geom, YU, self.convention)
+        return _rowdot(U @ geom.inner.g, _nat_reductive_RUYY(geom.algebra, YU[:N], YU[N:], h))
 
     def K(self, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
-        return _assemble(Y @ self.Xg, U @ self.Xg, self(Y, U)[0])[2]
+        return _assemble(Y @ self.Xg, U @ self.Xg, self(Y, U))[2]
 
     def reports(self, Y: np.ndarray, U: np.ndarray) -> list[CurvatureReport]:
         """One CurvatureReport per row of two (N, m) stacks of g-orthonormal
-        flags.  The general method takes R(U,Y)Y and the oracle value of
-        <R(U,Y)Y,U> from one stacked curvature_oracle call on the geometry's
-        Levi-Civita connection when the metric is ad(h)-invariant.  XRYY,
-        zero for a parallel X and not part of K, is <X,R(U,Y)Y> or None."""
+        flags.  On an ad(h)-invariant metric one stacked curvature_oracle call
+        on the Levi-Civita connection gives r = R(U,Y)Y, whence the oracle
+        <R(U,Y)Y,U>, sign_mismatch, XRYY (zero for a parallel X, not part of
+        K) and RYYY, for every method; otherwise None, None, None and 0."""
         geom, N = self.geom, len(Y)
-        URYY, r = self(Y, U)
-        oracle, mismatch = URYY.tolist(), [None] * N
-        if self.method == "general":
-            oracle = [None] * N
-            if geom.ad_h_invariance.ok:
-                r = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
-                o = _rowdot(r @ geom.inner.g, U)
-                tol = np.maximum(1e-9, 1e-9 * np.abs(o))
-                oracle, mismatch = o.tolist(), (np.abs(URYY - o) > tol).tolist()
-        XRYY = [None] * N if r is None else (r @ self.Xg).tolist()
-        RYYY = np.zeros(N) if r is None else _rowdot(Y @ geom.inner.g, r)
+        URYY = self(Y, U)
+        XRYY, RYYY, oracle, mismatch = [None] * N, np.zeros(N), [None] * N, [None] * N
+        if geom.ad_h_invariance.ok:
+            r = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
+            o = _rowdot(r @ geom.inner.g, U)
+            tol = np.maximum(1e-9, 1e-9 * np.abs(o))
+            XRYY, RYYY = (r @ self.Xg).tolist(), _rowdot(Y @ geom.inner.g, r)
+            oracle, mismatch = o.tolist(), (np.abs(URYY - o) > tol).tolist()
         numerator, denominator, K = _assemble(Y @ self.Xg, U @ self.Xg, URYY)
         return [
             CurvatureReport(K=k, contractions=Contractions(XRYY=x, URYY=u, RYYY=ry),
@@ -251,7 +246,7 @@ def flag_curvature(
     The flag is re-orthonormalized first (a projection when it already is
     orthonormal).  K = <R(U,Y)Y,U> (1 - <X,Y>^2) / [(1 + <X,Y>)^4 (2 <X,U>^2
     - <X,Y>^2 + 1)], the paper's formula less its 6 <X,R(U,Y)Y> <X,U>, zero
-    for a parallel X; X is not checked here.  The general method also reports
+    for a parallel X; X is not checked here.  Every method also reports
     <X,R(U,Y)Y> and the oracle value of <R(U,Y)Y,U> from the geometry's
     Levi-Civita connection (the Nomizu map) when the metric is ad(h)-invariant.
     """

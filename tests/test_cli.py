@@ -715,11 +715,26 @@ def test_command_builds_the_connection_once(monkeypatch, capsys, command):
     assert len(koszul) == 1
 
 
-@pytest.mark.parametrize("command", ["berwald", "validate"])
+@pytest.mark.parametrize("command", ["berwald"])
 def test_command_computes_the_derived_subalgebra_once(monkeypatch, capsys, command):
     derived = _count(monkeypatch, flagcurv.algebra, "derived_subalgebra")
     assert main([command, str(CONFIGS / "su2_plus_r.json"), "--output", "json"]) == 0
     assert len(derived) == 1
+
+
+@pytest.mark.parametrize("doc, code, calls", [
+    pytest.param(json.loads((CONFIGS / "su2_plus_r.json").read_text()), 0, 0, id="parallel"),
+    pytest.param(_tensor_config(su2_tensor(), 0, [0.0, 0.0, 0.5]), 2, 1, id="su2-X=e3/2"),
+])
+def test_validate_computes_the_derived_subalgebra_only_for_a_non_parallel_drift(
+        monkeypatch, capsys, tmp_path, doc, code, calls):
+    # the berwald row reads drift_parallel; only the "perfect" wording of a
+    # drift that is not parallel needs [g, g]
+    derived = _count(monkeypatch, flagcurv.algebra, "derived_subalgebra")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path), "--output", "json"]) == code
+    assert len(derived) == calls
 
 
 @pytest.mark.parametrize("command", ["curvature", "berwald"])

@@ -12,6 +12,7 @@ from flagcurv import (
     g_Y_closed,
     g_Y_fd,
     g_Y_matrix,
+    numerator_identity_check,
     orthonormalize_flag,
     validate_finsler,
 )
@@ -115,6 +116,28 @@ class TestFEval:
         d = FinslerData(g=InnerProduct(np.eye(3)), X=np.zeros(3))
         with pytest.raises(InputError, match="^vector must have length 3$"):
             F_eval(d, E4[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_argument_refused(bad):
+    # a NaN passes every comparison with a bound, so each argument is
+    # checked for finiteness before it reaches one
+    d = FinslerData(g=InnerProduct(np.eye(3)), X=0.5 * E3[1])
+    w = np.array([bad, 1.0, 0.0])
+    flag = Flag(Y=E3[0], U=E3[2])
+    for call, words in (
+        (lambda: g_Y_closed(d, E3[0], w, E3[2]), "u and v"),
+        (lambda: g_Y_closed(d, E3[0], E3[2], w), "u and v"),
+        (lambda: g_Y_fd(d, E3[0], w, E3[2]), "u and v"),
+        (lambda: g_Y_fd(d, E3[0], E3[2], w), "u and v"),
+        (lambda: denominator_identity(d, Flag(Y=E3[0], U=w)), "flag vectors"),
+        (lambda: denominator_identity(d, Flag(Y=w, U=E3[2])), "flag vectors"),
+        (lambda: numerator_identity_check(d, Flag(Y=E3[0], U=w), E3[1]), "flag vectors"),
+        (lambda: numerator_identity_check(d, flag, w), "Ruyy"),
+        (lambda: numerator_identity_check(d, flag, w, gy_source="fd"), "Ruyy"),
+    ):
+        with pytest.raises(InputError, match=f"^{words} must be finite$"):
+            call()
 
 
 def test_drift_of_the_wrong_length_refused():

@@ -133,25 +133,24 @@ def ref_report(geom, d, flag, method, convention):
     Y, U = flag.Y, flag.U
     nat_ok = check_naturally_reductive(geom.algebra, g).ok
     adh_ok = check_ad_h_invariance(geom.algebra, g).ok
-    r = None
     if method == "general":
         URYY = ref_puttmann(geom, X, Y, U, convention)[1]
-        if adh_ok:
-            r = ref_nomizu_R(c, h, g.g, U, Y)
     else:
         if method == "bi-invariant":
             if h or not check_bi_invariance(geom.algebra, g.g).ok:
                 raise PreconditionError("not bi-invariant")
         elif not (adh_ok and nat_ok):
             raise PreconditionError("not ad(h)-invariant and naturally reductive")
-        r = ref_nat_reductive_R(c, h, U, Y)
-        if r is None:
+        r_nat = ref_nat_reductive_R(c, h, U, Y)
+        if r_nat is None:
             raise PreconditionError("stray h-component")
-        URYY = g.dot(U, r)
+        URYY = g.dot(U, r_nat)
+    # every method's oracle: the Levi-Civita R(U,Y)Y of an ad(h)-invariant metric
+    r = ref_nomizu_R(c, h, g.g, U, Y) if adh_ok else None
     XY, XU = g.dot(X, Y), g.dot(X, U)
     numerator = URYY * (1.0 - XY**2)
     denominator = (1.0 + XY) ** 4 * (2.0 * XU**2 - XY**2 + 1.0)
-    oracle = URYY if method != "general" else (g.dot(r, U) if r is not None else None)
+    oracle = g.dot(r, U) if r is not None else None
     return {
         "K": numerator / denominator,
         "XRYY": g.dot(X, r) if r is not None else None,
@@ -438,8 +437,11 @@ def test_reductive_split_is_checked_once_per_geometry(monkeypatch, su2_u1):
     rng = np.random.default_rng(5)
     for _ in range(5):
         flag_curvature(geom, d, sample_flag(geom.inner, rng), method="naturally-reductive")
-    assert len(reductive) == 1
-    geom.connection  # koszul_connection keeps its own guard
+    # construction, and koszul_connection's own guard when the first report
+    # builds the connection for its oracle
+    assert len(reductive) == 2
+    for _ in range(5):
+        flag_curvature(geom, d, sample_flag(geom.inner, rng), method="naturally-reductive")
     assert len(reductive) == 2
 
 
@@ -465,21 +467,20 @@ def test_stacked_kernel_matches_einsum_reference_on_every_row(problem, n, conven
                 _Kernel(geom, d, method, convention)
             continue
         kernel = _Kernel(geom, d, method, convention)
-        URYY, r = kernel(Y, U)
+        URYY = kernel(Y, U)
         K = kernel.K(Y, U)
         reps = kernel.reports(Y, U)
         assert URYY.shape == K.shape == (n,)
-        assert (r is None) == (method == "general")
         for i, (ref, rep) in enumerate(zip(refs, reps)):
             assert close(URYY[i], ref["URYY"]), (method, i)
             assert close(K[i], ref["K"]), (method, i)
-            if ref["XRYY"] is None:
-                assert rep.contractions.XRYY is None, (method, i)
-            else:
-                assert close(rep.contractions.XRYY, ref["XRYY"]), (method, i)
-            if r is not None:
-                assert close(geom.inner.dot(d.X, r[i]), ref["XRYY"]), (method, i)
-                assert close(geom.inner.dot(Y[i], r[i]), ref["RYYY"]), (method, i)
+            for key, value in (("XRYY", rep.contractions.XRYY),
+                               ("RYYY", rep.contractions.RYYY),
+                               ("oracle_URYY", rep.oracle_URYY)):
+                if ref[key] is None:
+                    assert value is None, (method, i, key)
+                else:
+                    assert close(value, ref[key]), (method, i, key)
         # the scan draws the same flags and evaluates them block by block
         s = scan_flags(geom, d, n_samples=n, seed=n, method=method,
                        convention=convention)
@@ -600,3 +601,40 @@ def test_parallel_drift_gives_K_as_psi_times_kappa(problem, seed):
         assert np.all(np.abs(K - psi_kappa) <= 1e-12 * np.maximum(1.0, np.abs(psi_kappa)))
         for flag, rep in zip(flags, kernel.reports(Y, U)):
             assert close(rep.numerator, paper_numerator(geom, d, flag, method, "oracle-aligned"))
+
+
+# --- one report path: every method against the Levi-Civita oracle -----------
+
+@st.composite
+def naturally_reductive_problems(draw):
+    """A naturally reductive problem: S^n x R (h = so(n)) with phi = a I_n + b,
+    or su(2)^k + R (h = 0) with a bi-invariant phi, one scale per summand;
+    X random with |X|_g <= 0.95."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 5))
+        c, h, sizes = sphere_tensor(n), n * (n - 1) // 2, [n, 1]
+    else:
+        k = draw(st.integers(1, 3))
+        c, h, sizes = direct_sum(*[su2_tensor()] * k, np.zeros((1, 1, 1))), 0, [3] * k + [1]
+    phi = np.diag(np.repeat(rng.uniform(0.5, 2.0, len(sizes)), sizes))
+    geom = make_geometry(LieAlgebraSpec(c.shape[0], c), h_dim=h, phi=phi)
+    X = rng.normal(size=geom.m_dim)
+    X *= draw(st.floats(0.0, 0.95)) / geom.inner.norm(X)
+    return geom, FinslerData(g=geom.inner, X=X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(naturally_reductive_problems(), st.integers(1, 2 * _BLOCK), st.integers(0, 2**16))
+def test_every_method_reports_kappa_on_the_levi_civita_oracle(problem, n, seed):
+    geom, d = problem
+    assert geom.naturally_reductive.ok and geom.ad_h_invariance.ok
+    rng = np.random.default_rng(seed)
+    flags = [sample_flag(geom.inner, rng) for _ in range(n)]
+    Y, U = np.array([f.Y for f in flags]), np.array([f.U for f in flags])
+    # bi-invariant needs trivial isotropy
+    for method in METHODS if geom.h_dim == 0 else ("general", "naturally-reductive"):
+        for rep in _Kernel(geom, d, method, "oracle-aligned").reports(Y, U):
+            assert rep.sign_mismatch is False, method
+            o = rep.oracle_URYY
+            assert abs(o - rep.contractions.URYY) <= 1e-12 * max(1.0, abs(o)), method
