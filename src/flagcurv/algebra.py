@@ -60,10 +60,12 @@ class LieAlgebraSpec:
 
     @cached_property
     def _bracket_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(I, J, c[I, J]) over the pairs i < j with [e_i, e_j] != 0."""
-        I, J = np.triu_indices(self.dim, 1)
-        keep = np.any(self.c[I, J] != 0, axis=1)
-        return I[keep], J[keep], self.c[I[keep], J[keep]]
+        """(I, J, c[I, J]) over the pairs i < j with [e_i, e_j] != 0, in
+        row-major order."""
+        I, J = np.nonzero(np.any(self.c, axis=2))
+        upper = I < J
+        I, J = I[upper], J[upper]
+        return I, J, self.c[I, J]
 
     def brackets(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """[a_k, b_k] for each row k of two (N, n) stacks, as one product

@@ -3,7 +3,9 @@
 Reads a JSON problem config (see config.py for the schema), runs the
 requested computation, and prints either an aligned table or
 schema-versioned JSON.  Reals are printed with 12 significant digits;
-identical config + seed gives byte-identical JSON output.
+identical config + seed gives byte-identical JSON output.  A process
+builds each subcommand's parser once, on its first call, and writes JSON
+in one pass over the document.
 
 Exit codes: 0 success, 1 usage/parse, 2 validation failure,
 3 precondition failure, 4 numeric failure.
@@ -12,10 +14,11 @@ Exit codes: 0 success, 1 usage/parse, 2 validation failure,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -48,21 +51,52 @@ def _ryyy(rep) -> float:
     return 0.0 if abs(RYYY) <= 1e-12 * max(1.0, abs(URYY)) else RYYY
 
 
-def _round_floats(obj):
-    """Normalize every float to 12 significant digits for stable output;
-    JSON has no NaN or Infinity, so a non-finite float becomes null."""
-    if isinstance(obj, float):
-        return float(fmt(obj)) if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _json_chunks(obj, newline: str, out: list[str]) -> None:
+    """Append to out the JSON of obj, indented by 2 and key-sorted, with
+    each float at 12 significant digits; JSON has no NaN or Infinity, so a
+    non-finite float becomes null.  newline is a line break and obj's indent."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(float(fmt(obj))) if math.isfinite(obj) else "null")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for value in obj:
+            out.append(sep + inner)
+            _json_chunks(value, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key, value in sorted(obj.items()):  # a key that is not a str: TypeError
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _json_chunks(value, inner, out)
+            sep = ","
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def emit_json(doc: dict) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, **doc}
-    print(json.dumps(_round_floats(doc), indent=2, sort_keys=True))
+    """Print doc under schema_version as json.dumps(indent=2, sort_keys=True)
+    prints it with every float rounded by fmt, in one walk of the document."""
+    out: list[str] = []
+    _json_chunks({"schema_version": SCHEMA_VERSION, **doc}, "\n", out)
+    print("".join(out))
 
 
 def emit_table(rows: list[tuple[str, str]], title: str | None = None) -> None:
@@ -335,11 +369,13 @@ _OPTIONS = {
 }
 
 
-def _with_arguments(parser: argparse.ArgumentParser, fn, flags) -> argparse.ArgumentParser:
+def _with_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Add subcommand name's arguments; the parser records the name, not the
+    command function, so a parser kept for reuse holds no function."""
     parser.add_argument("config", help="path to a JSON problem config")
-    for flag in flags:
+    for flag in _subcommands()[name][1]:
         parser.add_argument(flag, **_OPTIONS[flag])
-    parser.set_defaults(func=fn)
+    parser.set_defaults(command=name)
     return parser
 
 
@@ -347,7 +383,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The full parser; given a command, that subcommand's parser alone, built
     as the full parser builds it, so its usage, help and errors read the same."""
     if command is not None:
-        return _with_arguments(_Parser(prog=f"flagcurv {command}"), *_subcommands()[command])
+        return _with_arguments(_Parser(prog=f"flagcurv {command}"), command)
     parser = _Parser(
         prog="flagcurv",
         description=(
@@ -357,16 +393,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, flags) in _subcommands().items():
-        _with_arguments(sub.add_parser(name), fn, flags)
+    for name in _subcommands():
+        _with_arguments(sub.add_parser(name), name)
     return parser
+
+
+@functools.cache
+def _subcommand_parser(command: str) -> argparse.ArgumentParser:
+    """build_parser(command), built once per process: parsing leaves a parser
+    as it was, and help reads the terminal width when it is printed."""
+    return build_parser(command)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """The subcommand argv[0] names parses alone (the top-level parser has only -h); the
     full parser takes any other call, and leftover arguments, and prints the errors."""
     if argv and argv[0] in _subcommands():
-        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        args, rest = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             return args
     return build_parser().parse_args(argv)
@@ -378,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
         config = parse_config(args.config)
-        return args.func(config, args)
+        return _subcommands()[args.command][0](config, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

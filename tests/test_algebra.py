@@ -182,6 +182,18 @@ def test_jacobi_matches_reference(case):
         assert abs(got - want) <= 1e-12 * max(1.0, float(np.max(np.abs(c))) ** 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(structure_tensors())
+def test_bracket_table_matches_the_upper_triangle_scan(case):
+    c, _ = case
+    L = LieAlgebraSpec(len(c), c)
+    I, J = np.triu_indices(L.dim, 1)  # the pairs i < j in row-major order
+    keep = np.any(L.c[I, J] != 0, axis=1)
+    want = (I[keep], J[keep], L.c[I[keep], J[keep]])
+    for got, ref in zip(L._bracket_table, want, strict=True):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 5])
 def test_jacobi_zero_tensor(dim):
     assert jacobi_defect(LieAlgebraSpec(dim, np.zeros((dim, dim, dim)))) == 0.0

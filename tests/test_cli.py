@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flagcurv
-from flagcurv.cli import _ryyy, build_parser, main
+from flagcurv.cli import (SCHEMA_VERSION, _ryyy, _subcommands, build_parser, emit_json, fmt,
+                          main)
 from flagcurv.config import (_all_real, _is_real, build_problem, config_from_dict,
                              parse_config, structure_tensor)
 from flagcurv.errors import InputError, NumericError
@@ -29,6 +32,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def replay(capsys, *argv):
+    """run twice in one process; the second call must print what the first
+    printed, so nothing carries over from one call to the next."""
+    first = run(capsys, *argv)
+    assert run(capsys, *argv) == first
+    return first
 
 
 class TestParseConfig:
@@ -768,14 +779,15 @@ def test_curvature_does_its_per_problem_work_once(monkeypatch, capsys, method):
 
 
 class TestGoldenOutput:
-    """stdout and exit code match bytes recorded from an earlier release."""
+    """stdout and exit code match bytes recorded from an earlier release, on
+    the first call of a command in a process and on the next."""
 
     @pytest.mark.parametrize("name, code", [
         ("abelian_r3", 0), ("heisenberg", 2), ("su2", 0),
         ("su2_plus_r", 0), ("su2_u1", 0),
     ])
     def test_validate(self, capsys, name, code):
-        got = run(capsys, "validate", str(CONFIGS / f"{name}.json"),
+        got = replay(capsys, "validate", str(CONFIGS / f"{name}.json"),
                   "--output", "json")
         assert got[:2] == (code, (GOLDEN / f"validate_{name}.json").read_text())
 
@@ -784,40 +796,40 @@ class TestGoldenOutput:
     # and naturally_reductive (2) between them.
     @pytest.mark.parametrize("name", ["not_jacobi", "not_reductive", "s2_r_coupled"])
     def test_validate_failing_input(self, capsys, name):
-        got = run(capsys, "validate", str(GOLDEN / f"input_{name}.json"),
+        got = replay(capsys, "validate", str(GOLDEN / f"input_{name}.json"),
                   "--output", "json")
         assert got[:2] == (2, (GOLDEN / f"validate_{name}.json").read_text())
 
     @pytest.mark.parametrize("name", ["su2_plus_r", "heisenberg"])
     def test_forced_curvature(self, capsys, name):
-        got = run(capsys, "curvature", str(CONFIGS / f"{name}.json"),
+        got = replay(capsys, "curvature", str(CONFIGS / f"{name}.json"),
                   "--output", "json", "--force")
         assert got[:2] == (0, (GOLDEN / f"curvature_{name}.json").read_text())
 
     @pytest.mark.parametrize("name", ["su2_plus_r", "heisenberg"])
     def test_forced_scan(self, capsys, name):
-        got = run(capsys, "scan", str(CONFIGS / f"{name}.json"),
+        got = replay(capsys, "scan", str(CONFIGS / f"{name}.json"),
                   "--output", "json", "--force")
         assert got[:2] == (0, (GOLDEN / f"scan_{name}.json").read_text())
 
     @pytest.mark.parametrize("command", ["curvature", "scan"])
     @pytest.mark.parametrize("name", ["su2", "su2_u1", "abelian_r3"])
     def test_default_json(self, capsys, command, name):
-        got = run(capsys, command, str(CONFIGS / f"{name}.json"), "--output", "json")
+        got = replay(capsys, command, str(CONFIGS / f"{name}.json"), "--output", "json")
         assert got[:2] == (0, (GOLDEN / f"{command}_{name}.json").read_text())
 
     def test_default_curvature_table(self, capsys):
-        got = run(capsys, "curvature", str(CONFIGS / "su2_plus_r.json"))
+        got = replay(capsys, "curvature", str(CONFIGS / "su2_plus_r.json"))
         assert got[:2] == (0, (GOLDEN / "curvature_su2_plus_r.txt").read_text())
 
     @pytest.mark.parametrize("command", ["validate", "scan", "berwald"])
     def test_default_table(self, capsys, command):
-        got = run(capsys, command, str(CONFIGS / "su2_plus_r.json"))
+        got = replay(capsys, command, str(CONFIGS / "su2_plus_r.json"))
         assert got[:2] == (0, (GOLDEN / f"{command}_su2_plus_r.txt").read_text())
 
     @pytest.mark.parametrize("name", ["su2_plus_r", "heisenberg", "su2_u1"])
     def test_berwald(self, capsys, name):
-        got = run(capsys, "berwald", str(CONFIGS / f"{name}.json"), "--output", "json")
+        got = replay(capsys, "berwald", str(CONFIGS / f"{name}.json"), "--output", "json")
         assert got[:2] == (0, (GOLDEN / f"berwald_{name}.json").read_text())
 
 
@@ -879,8 +891,8 @@ def test_each_subcommand_accepts_only_the_flags_its_command_reads(capsys):
         accepted[name] = {s for a in parser._actions for s in a.option_strings
                           if s not in ("-h", "--help")}
         args = _ReadRecorder(vars(parser.parse_args([path])))
-        assert args.func(config, args) == 0
-        read[name] = {"--" + dest for dest in args.read - {"func"}}
+        assert _subcommands()[name][0](config, args) == 0
+        read[name] = {"--" + dest for dest in args.read - {"command"}}
     assert accepted == read
     assert accepted == {
         "validate": {"--output"},
@@ -939,10 +951,24 @@ def test_main_builds_the_arguments_of_its_own_subcommand_only(monkeypatch, capsy
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    flagcurv.cli._subcommand_parser.cache_clear()
     assert main([command, SU2_PLUS_R, "--output", "json"]) == 0
     (parser,) = built  # one ArgumentParser, not the full parser's five
     assert parser.prog == f"flagcurv {command}"
-    assert parser.get_default("func") is getattr(flagcurv.cli, f"cmd_{command}")
+    assert parser.get_default("command") == command
+    assert main([command, SU2_PLUS_R, "--output", "json"]) == 0
+    assert built == [parser]  # the next call reuses it
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_patched_command_runs_after_its_parser_is_kept(monkeypatch, capsys, command):
+    # the kept parser names the command; main looks the function up per call
+    assert main([command, SU2_PLUS_R, "--output", "json"]) == 0
+    calls = []
+    monkeypatch.setattr(flagcurv.cli, f"cmd_{command}",
+                        lambda config, args: calls.append(args.command) or 7)
+    assert main([command, SU2_PLUS_R, "--output", "json"]) == 7
+    assert calls == [command]
 
 
 def test_main_reads_the_process_arguments(monkeypatch, capsys):
@@ -956,11 +982,16 @@ def test_main_reads_the_process_arguments(monkeypatch, capsys):
                          ids=["validate", "-h", "unrecognized"])
 def test_module_entry_point_prints_what_main_prints(monkeypatch, capsys, argv):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
+
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    code, out = outcome()
+    assert outcome() == (code, out)  # a second call in the process prints the same
     src = str(Path(flagcurv.__file__).resolve().parent.parent)
     env = {**os.environ, "COLUMNS": "80",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -1012,3 +1043,63 @@ def test_ryyy_prints_rounding_noise_as_zero():
     assert _ryyy(rep(9e-12, 10.0)) == 0.0
     assert _ryyy(rep(2e-11, 10.0)) == 2e-11
     assert _ryyy(rep(-0.02, 0.6)) == -0.02
+
+
+def _round_floats(obj):
+    """Every float at 12 significant digits, and null for a non-finite one."""
+    if isinstance(obj, float):
+        return float(fmt(obj)) if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def _emitted(doc: dict) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        emit_json(doc)
+    return buffer.getvalue()
+
+
+def _emitted_reference(doc: dict) -> str:
+    """json's indented encoder after rounding every float."""
+    return json.dumps(_round_floats({"schema_version": SCHEMA_VERSION, **doc}),
+                      indent=2, sort_keys=True) + "\n"
+
+
+JSON_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(
+    ["", "é", "κ", "\U0001d4a6", '"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028"]))
+JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 0.1234567890125,
+     9.9999999999995, 1.00000000000049e-5, 123456789012.5, 999999999999.5]))
+JSON_LEAVES = st.one_of(
+    JSON_FLOATS, st.integers(), st.sampled_from([2**63, -(2**100), 10**400]),
+    st.booleans(), st.none(), JSON_KEYS,
+    st.sampled_from([np.float64(0.1 + 0.2), np.float64(-0.0)]),
+)
+JSON_DOCS = st.dictionaries(JSON_KEYS, st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_KEYS, inner, max_size=4)),
+    max_leaves=20,
+), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_DOCS)
+def test_emit_json_prints_the_bytes_of_the_indented_encoder(doc):
+    assert _emitted(doc) == _emitted_reference(doc)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, frozenset(), np.float32(0.5), np.int64(3), np.bool_(True), object(),
+    [1.0, {"a": (2, {3})}], {"nested": np.arange(2)},
+], ids=["set", "frozenset", "float32", "int64", "bool_", "object", "deep-set", "ndarray"])
+def test_emit_json_refuses_what_the_encoder_refuses(value):
+    with pytest.raises(TypeError):
+        _emitted_reference({"value": value})
+    with pytest.raises(TypeError):
+        _emitted({"value": value})
