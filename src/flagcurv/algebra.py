@@ -25,8 +25,9 @@ TOL_RANK = 1e-10
 class LieAlgebraSpec:
     """Structure-constants description of a Lie algebra.
 
-    The tensor is antisymmetrized in its first two indices at construction;
-    if the raw input was not antisymmetric a warning is emitted.
+    A tensor antisymmetric in its first two indices is stored as given;
+    any other is antisymmetrized, with a warning.  The antisymmetrization
+    takes the difference of halves, so finite constants stay finite.
     """
 
     dim: int
@@ -35,22 +36,23 @@ class LieAlgebraSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise InputError(f"dimension must be positive, got {self.dim}")
-        c = np.asarray(self.c, dtype=float)
+        c = np.array(self.c, dtype=float)
         if c.shape != (self.dim, self.dim, self.dim):
             raise InputError(
                 f"structure tensor shape {c.shape} does not match dim {self.dim}"
             )
         if not np.all(np.isfinite(c)):
             raise InputError("structure constants must be finite")
-        anti = 0.5 * (c - np.swapaxes(c, 0, 1))
-        if not np.array_equal(anti, c):
+        swapped = np.swapaxes(c, 0, 1)
+        if not np.array_equal(c, -swapped):
             warnings.warn(
                 "structure constants were not antisymmetric in (i, j); "
                 "storing the antisymmetrization",
                 stacklevel=2,
             )
-        anti.setflags(write=False)
-        object.__setattr__(self, "c", anti)
+            c = 0.5 * c - 0.5 * swapped
+        c.setflags(write=False)
+        object.__setattr__(self, "c", c)
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """ad_x acting on row vectors, v @ ad(x) = [x, v], as one product with

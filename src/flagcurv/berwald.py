@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import TOL_HYPOTHESIS, TOL_RANK, LieAlgebraSpec, _bracket_span, derived_subalgebra
 from .errors import FlagError, InputError
-from .flagcurvature import _check_draws
+from .flagcurvature import NOT_AD_H_INVARIANT, _check_draws
 from .geometry import HomogeneousGeometry
 from .metrics import CheckReport, InnerProduct, _h_dim_of, _skew_check, require
 from .riemann import _require_reductive, sectional
@@ -71,7 +71,7 @@ def _drift(geom: HomogeneousGeometry, X: np.ndarray) -> np.ndarray:
     if X.shape != (geom.m_dim,):
         raise InputError(f"drift vector must have length {geom.m_dim}")
     _require_reductive(geom.reductive)
-    require([("metric is not ad(h)-invariant", geom.ad_h_invariance)])
+    require([(NOT_AD_H_INVARIANT, geom.ad_h_invariance)])
     return X
 
 

@@ -18,17 +18,18 @@ import functools
 import math
 import sys
 from dataclasses import replace
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import berwald as berwald_mod
-from .algebra import TOL_HYPOTHESIS, jacobi_defect
 from .config import ProblemConfig, RunOptions, build_problem, parse_config
 from .errors import FlagcurvError, InputError, PreconditionError, ValidationError
 from .finsler import validate_finsler
 from .flagcurvature import CONVENTIONS, METHODS, _Kernel, hypotheses, scan_flags
-from .metrics import orthonormalize_flag, require
+from .geometry import STRUCTURE
+from .metrics import CheckReport, orthonormalize_flag, require
 
 SCHEMA_VERSION = 1
 
@@ -118,64 +119,41 @@ def _vec(v: np.ndarray) -> str:
     return "[" + ", ".join(fmt(float(x)) for x in v) + "]"
 
 
-def _structure_checks(geom) -> list[tuple[str, bool, float, bool]]:
-    """(name, ok, defect, hard) of the Jacobi identity and the reductive split."""
-    jd = jacobi_defect(geom.algebra)
-    red = geom.reductive
-    return [
-        ("jacobi", jd <= TOL_HYPOTHESIS, jd, True),
-        ("reductive_subalgebra", red.subalgebra_ok, red.subalgebra_defect, True),
-        ("reductive_ad_invariance", red.ad_invariant_ok, red.ad_invariant_defect, True),
-    ]
-
-
 def cmd_validate(config: ProblemConfig, args) -> int:
     geom, data, _ = build_problem(config)
-    checks = _structure_checks(geom)
-
-    bi = geom.g0_bi_invariance
-    checks.append(("g0_bi_invariance", bi.ok, bi.max_defect, False))
-
-    if geom.h_dim > 0:
-        adh = geom.ad_h_invariance
-        checks.append(("ad_h_invariance", adh.ok, adh.max_defect, True))
-
-    nat = geom.naturally_reductive
-    checks.append(("naturally_reductive", nat.ok, nat.max_defect, False))
-
     fin = validate_finsler(data)
-    checks.append(("finsler_condition", fin.ok, fin.norm_X, True))
+    checks = [*geom.checks(), ("finsler_condition", CheckReport(fin.ok, fin.norm_X), True)]
 
     # geom.connection is the metric's Levi-Civita connection only on a
     # reductive split with an ad(h)-invariant metric
-    red = geom.reductive
     berwald_status = "not checked"
-    if red.subalgebra_ok and red.ad_invariant_ok and geom.ad_h_invariance.ok:
+    if (geom.reductive_subalgebra.ok and geom.reductive_ad_invariance.ok
+            and geom.ad_h_invariance.ok):
         berwald_status = "trivial (X = 0: metric is Riemannian)"
         if geom.inner.norm(data.X) > 0:
             nabla = geom.drift_parallel(data.X)
-            checks.append(("berwald_admissible", nabla.ok, nabla.max_defect, True))
+            checks.append(("berwald_admissible", nabla, True))
             berwald_status = "admissible" if nabla.ok else "inadmissible"
             if not nabla.ok and berwald_mod.is_perfect(geom.algebra):
                 berwald_status += (": the algebra is perfect ([g, g] = g), so no nonzero "
                                    "drift vector is parallel and no non-Riemannian metric "
                                    "of this type exists")
 
-    failed_hard = [name for name, ok, _, hard in checks if hard and not ok]
+    failed_hard = [name for name, rep, hard in checks if hard and not rep.ok]
     if args.output == "json":
         emit_json({
             "command": "validate",
             "name": config.name,
             "checks": [
-                {"name": name, "ok": bool(ok), "value": val, "hard": hard}
-                for name, ok, val, hard in checks
+                {"name": name, "ok": bool(rep.ok), "value": rep.max_defect, "hard": hard}
+                for name, rep, hard in checks
             ],
             "berwald": berwald_status,
             "ok": not failed_hard,
         })
     else:
-        rows = [(name, f"{'ok' if ok else 'FAIL'}  ({fmt(val)})")
-                for name, ok, val, hard in checks]
+        rows = [(name, f"{'ok' if rep.ok else 'FAIL'}  ({fmt(rep.max_defect)})")
+                for name, rep, _ in checks]
         rows.append(("berwald", berwald_status))
         rows.append(("result", "ok" if not failed_hard else
                      "FAILED: " + ", ".join(failed_hard)))
@@ -187,9 +165,9 @@ def _gate(config: ProblemConfig, args, method: str | None):
     """build_problem, then unless --force refuse broken structure or hypotheses."""
     geom, data, raw_flags = build_problem(config)
     if not args.force:
-        for name, ok, defect, _ in _structure_checks(geom):
-            if not ok:
-                raise ValidationError(f"check {name} fails (defect {defect:g})")
+        for name, rep, _ in islice(geom.checks(), STRUCTURE):
+            if not rep.ok:
+                raise ValidationError(f"check {name} fails (defect {rep.max_defect:g})")
         if method is not None:
             require(hypotheses(geom, data.X, method))
     return geom, data, raw_flags
@@ -208,15 +186,11 @@ def cmd_curvature(config: ProblemConfig, args) -> int:
         raise InputError("config has no flags; add at least one [Y, U] pair")
     kernel = _Kernel(geom, data, method, convention)
     flags = [orthonormalize_flag(geom.inner, y, u) for y, u in raw_flags]
-    reps = kernel.reports(np.array([f.Y for f in flags]), np.array([f.U for f in flags]))
-    results = []
-    for idx, ((y, u), flag, rep) in enumerate(zip(raw_flags, flags, reps)):
-        normalized = not (np.allclose(flag.Y, y, rtol=0, atol=1e-10)
-                          and np.allclose(flag.U, u, rtol=0, atol=1e-10))
-        if normalized and args.output == "table":
-            print(f"notice: flag {idx + 1} was re-orthonormalized", file=sys.stderr)
-        results.append((idx, flag, normalized, rep))
-
+    Y, U = np.array([f.Y for f in flags]), np.array([f.U for f in flags])
+    # a flag moved by more than 1e-10 in an entry, or by NaN, was re-orthonormalized
+    moved = np.abs(np.hstack((Y, U)) - np.array(raw_flags, dtype=float).reshape(len(Y), -1))
+    results = list(enumerate(zip(flags, (~(moved.max(axis=1) <= 1e-10)).tolist(),
+                                 kernel.reports(Y, U))))
     if args.output == "json":
         emit_json({
             "command": "curvature",
@@ -238,11 +212,13 @@ def cmd_curvature(config: ProblemConfig, args) -> int:
                     "oracle_URYY": rep.oracle_URYY,
                     "sign_mismatch": rep.sign_mismatch,
                 }
-                for idx, flag, normalized, rep in results
+                for idx, (flag, normalized, rep) in results
             ],
         })
     else:
-        for idx, flag, _, rep in results:
+        for idx, (flag, normalized, rep) in results:
+            if normalized:
+                print(f"notice: flag {idx + 1} was re-orthonormalized", file=sys.stderr)
             emit_table(
                 [
                     ("Y", _vec(flag.Y)),

@@ -84,25 +84,25 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-# The geometry reports each method needs, with the words of its refusal.
-# On a group, a metric is bi-invariant exactly when it is naturally reductive.
-_NEEDS = {
-    "general": (),
-    "naturally-reductive": (("ad_h_invariance", "metric is not ad(h)-invariant"),
+# Each method's drift-free hypotheses as (check-table row, words of refusal), in
+# order.  _Kernel refuses those the double-bracket formulas need; the general
+# closed form evaluates on any metric, so only the CLI gate refuses its rows.
+NOT_AD_H_INVARIANT = "metric is not ad(h)-invariant"
+HYPOTHESES = {
+    "general": (("ad_h_invariance", NOT_AD_H_INVARIANT),
+                ("g0_bi_invariance", "g0 is not bi-invariant")),
+    "naturally-reductive": (("ad_h_invariance", NOT_AD_H_INVARIANT),
                             ("naturally_reductive", "metric is not naturally reductive")),
+    # on a group a metric is bi-invariant exactly when it is naturally reductive
     "bi-invariant": (("naturally_reductive", "metric is not bi-invariant"),),
 }
 
 
 def hypotheses(geom: HomogeneousGeometry, X: np.ndarray, method: str):
     """The paper's hypotheses for method as (words of refusal, CheckReport),
-    lazily: the method's own reports, for `general` an ad(h)-invariant metric
-    and a bi-invariant g0, then whether X is parallel (Chern = Levi-Civita)."""
-    for attr, words in _NEEDS[method]:
-        yield words, getattr(geom, attr)
-    if method == "general":
-        yield "metric is not ad(h)-invariant", geom.ad_h_invariance
-        yield "g0 is not bi-invariant", geom.g0_bi_invariance
+    lazily: its check-table rows, then whether X is parallel (Chern = Levi-Civita)."""
+    for name, words in HYPOTHESES[method]:
+        yield words, getattr(geom, name)
     yield "drift X is not parallel", geom.drift_parallel(X)
 
 
@@ -139,7 +139,8 @@ class _Kernel:
         if method == "bi-invariant" and geom.h_dim != 0:
             # the metric on m alone cannot be bi-invariant on the algebra
             raise PreconditionError("bi-invariant method needs trivial isotropy")
-        require((words, getattr(geom, attr)) for attr, words in _NEEDS[method])
+        if method != "general":
+            require((words, getattr(geom, name)) for name, words in HYPOTHESES[method])
         self.geom, self.method, self.convention = geom, method, convention
         self.Xg = d.X @ geom.inner.g
 

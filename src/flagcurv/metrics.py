@@ -24,23 +24,8 @@ class InnerProduct:
     g: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise InputError(f"metric must be square, got shape {g.shape}")
-        if not np.isfinite(g).all():
-            raise InputError("metric must be finite")
-        sym_defect = float(np.max(np.abs(g - g.T))) if g.size else 0.0
-        if sym_defect > TOL_HYPOTHESIS:
-            raise ValidationError(f"metric is not symmetric (defect {sym_defect:g})")
-        g = 0.5 * (g + g.T)
-        if g.size:
-            eig_min = float(np.linalg.eigvalsh(g)[0])
-            if eig_min <= 0:
-                raise ValidationError(
-                    f"metric is not positive-definite (min eigenvalue {eig_min:g})"
-                )
-        g.setflags(write=False)
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", _spd(np.array(self.g, dtype=float), "metric is not symmetric",
+                                           "metric is not positive-definite"))
 
     @property
     def dim(self) -> int:
@@ -59,6 +44,26 @@ class InnerProduct:
         return v @ np.diag(1.0 / np.sqrt(w)) @ v.T
 
 
+def _spd(g: np.ndarray, asymmetric: str, indefinite: str) -> np.ndarray:
+    """g, read-only, once checked square and finite (InputError), symmetric within
+    TOL_HYPOTHESIS and positive-definite (ValidationError, in the words asymmetric
+    or indefinite).  Any g not exactly symmetric is symmetrized as a sum of halves."""
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise InputError(f"metric must be square, got shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise InputError("metric must be finite")
+    sym_defect = float(np.abs(g - g.T).max(initial=0.0))
+    if sym_defect > TOL_HYPOTHESIS:
+        raise ValidationError(f"{asymmetric} (defect {sym_defect:g})")
+    if sym_defect:
+        g = 0.5 * g + 0.5 * g.T
+    eig_min = float(np.linalg.eigvalsh(g).min(initial=np.inf))
+    if eig_min <= 0:
+        raise ValidationError(f"{indefinite} (min eigenvalue {eig_min:g})")
+    g.setflags(write=False)
+    return g
+
+
 @dataclass(frozen=True, eq=False)
 class Flag:
     """g-orthonormal pair (Y, U) in m; Y is the flagpole."""
@@ -71,6 +76,11 @@ class Flag:
 class CheckReport:
     ok: bool
     max_defect: float
+
+    @classmethod
+    def of(cls, defect: float) -> CheckReport:
+        """The report of a check that holds within TOL_HYPOTHESIS; a NaN defect fails."""
+        return cls(ok=defect <= TOL_HYPOTHESIS, max_defect=defect)
 
 
 def require(reports) -> None:
@@ -87,8 +97,7 @@ def _skew_check(c: np.ndarray, g: np.ndarray) -> CheckReport:
     the first with x and y swapped."""
     cg = c @ g  # <[z,x],y>
     d = cg + cg.swapaxes(1, 2)
-    max_defect = float(np.max(np.abs(d))) if d.size else 0.0
-    return CheckReport(ok=max_defect <= TOL_HYPOTHESIS, max_defect=max_defect)
+    return CheckReport.of(float(np.max(np.abs(d))) if d.size else 0.0)
 
 
 def check_bi_invariance(L: LieAlgebraSpec, g0: np.ndarray) -> CheckReport:

@@ -98,6 +98,25 @@ def test_jacobi_keeps_an_overflowed_defect():
     assert not defect <= TOL_HYPOTHESIS
 
 
+def test_large_antisymmetric_constants_are_stored_unchanged():
+    # halving c - c^T would overflow 2e308 to inf; warnings are errors here,
+    # so neither an overflow nor an antisymmetry warning may be raised
+    c = np.zeros((4, 4, 4))
+    c[0, 1, 2], c[1, 0, 2] = 1e308, -1e308
+    L = LieAlgebraSpec(4, c)
+    assert np.array_equal(L.c, c) and L.c is not c
+    assert not L.c.flags.writeable and c.flags.writeable
+
+
+def test_antisymmetrization_of_large_constants_stays_finite():
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = 1.5e308, -1e308
+    with pytest.warns(UserWarning, match="not antisymmetric"):
+        L = LieAlgebraSpec(3, c)
+    assert L.c[0, 1, 2] == pytest.approx(1.25e308) and L.c[1, 0, 2] == -L.c[0, 1, 2]
+    assert np.isfinite(L.c).all()
+
+
 @pytest.mark.parametrize("dim, shape, message", [
     (0, (0, 0, 0), r"^dimension must be positive, got 0$"),
     (2, (3, 3, 3), r"^structure tensor shape \(3, 3, 3\) does not match dim 2$"),

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -19,8 +20,12 @@ from flagcurv.cli import (SCHEMA_VERSION, _ryyy, _subcommands, build_parser, emi
                           main)
 from flagcurv.config import (_all_real, _is_real, build_problem, config_from_dict,
                              parse_config, structure_tensor)
+from flagcurv.algebra import TOL_HYPOTHESIS
 from flagcurv.errors import InputError, NumericError
+from flagcurv.finsler import FinslerData, validate_finsler
 from flagcurv.flagcurvature import hypotheses, scan_flags
+from flagcurv.geometry import make_geometry
+from test_algebra import structure_tensors
 from test_kernel import _count
 from conftest import heisenberg_tensor, sphere_tensor, su2_tensor
 
@@ -634,6 +639,104 @@ class TestHypothesisGate:
         assert code == 0
         assert json.loads(out)["flags"][0]["K"] == pytest.approx(1.0)
         assert run(capsys, "scan", path, "--samples", "20")[0] == 0
+
+
+# phi refused at construction, so by every command with and without --force
+@pytest.mark.parametrize("g0, phi, words", [
+    pytest.param(np.diag([1.0, 2.0, 1.0]), [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                 "phi is not self-adjoint w.r.t. g0 (defect 0.5)", id="not-self-adjoint"),
+    pytest.param(np.eye(3), np.diag([1.0, -1.0, 1.0]),
+                 "phi is not positive-definite w.r.t. g0 (min eigenvalue -1)",
+                 id="not-positive-definite"),
+])
+@pytest.mark.parametrize("command", ["validate", "curvature", "scan", "berwald"])
+def test_phi_refusals(capsys, tmp_path, g0, phi, words, command):
+    doc = json.loads((CONFIGS / "su2.json").read_text())
+    doc["g0"], doc["phi"] = np.asarray(g0).tolist(), np.asarray(phi).tolist()
+    path = TestGate.write(tmp_path, doc)
+    for flags in ((), ("--force",)) if command != "validate" else ((),):
+        assert run(capsys, command, path, *flags) == (2, "", f"validation error: {words}\n")
+
+
+def test_validate_reads_large_constants_without_overflow(capsys, tmp_path):
+    # [e1, e2] = 1e308 e3: Jacobi holds, and g0 = I is not bi-invariant by 1e308
+    path = TestGate.write(tmp_path, {"dim": 4, "structure_constants": [[1, 2, 3, 1e308]]})
+    code, out, _ = run(capsys, "validate", path, "--output", "json")
+    values = {row["name"]: row["value"] for row in json.loads(out)["checks"]}
+    assert code == 0
+    assert values["jacobi"] == 0.0 and values["g0_bi_invariance"] == 1e308
+
+
+@st.composite
+def table_problems(draw):
+    """A geometry and a drift: a random algebra (Jacobi may fail) with a
+    random split and metric on m, or S^k x R with an ad(h)-invariant one;
+    g0 random or the identity, phi = g0_m^-1 S for the metric S on m, and
+    |X|_g up to 1.2, so the Finsler condition may fail."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        c, _ = draw(structure_tensors())
+        n = len(c)
+        h = draw(st.integers(0, n))
+        A = rng.normal(size=(n - h, n - h))
+        S = A @ A.T / max(n - h, 1) + np.eye(n - h)
+    else:
+        k = draw(st.integers(2, 4))
+        c, n, h = sphere_tensor(k), k * (k + 1) // 2 + 1, k * (k - 1) // 2
+        S = np.diag([rng.uniform(0.5, 2.0)] * k + [rng.uniform(0.5, 2.0)])
+    B = rng.normal(size=(n, n))
+    g0 = B @ B.T / n + np.eye(n) if draw(st.booleans()) else np.eye(n)
+    phi = np.linalg.solve(g0[h:, h:], S) if h < n else np.zeros((0, 0))
+    geom = make_geometry(flagcurv.LieAlgebraSpec(n, c), h, g0=g0, phi=phi)
+    X = rng.normal(size=n - h)
+    if geom.inner.norm(X) > 0:
+        X *= draw(st.floats(0.0, 1.2)) / geom.inner.norm(X)
+    return geom, X
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_problems())
+def test_check_table_rows_are_the_standalone_checks(problem):
+    geom, X = problem
+    L, g, h = geom.algebra, geom.inner, geom.h_dim
+    jd, red = flagcurv.jacobi_defect(L), flagcurv.check_reductive(L, h)
+    want = [("jacobi", jd <= TOL_HYPOTHESIS, jd, True),
+            ("reductive_subalgebra", red.subalgebra_ok, red.subalgebra_defect, True),
+            ("reductive_ad_invariance", red.ad_invariant_ok, red.ad_invariant_defect, True)]
+    for name, rep, hard in (
+            ("g0_bi_invariance", flagcurv.check_bi_invariance(L, geom.g0), False),
+            ("ad_h_invariance", flagcurv.check_ad_h_invariance(L, g), True),
+            ("naturally_reductive", flagcurv.check_naturally_reductive(L, g), False)):
+        if name != "ad_h_invariance" or h:  # it always holds with h_dim = 0
+            want.append((name, rep.ok, rep.max_defect, hard))
+    rows = list(geom.checks())
+    assert [(name, rep.ok, rep.max_defect, hard) for name, rep, hard in rows] == want
+    # each row is computed once, then read from the geometry
+    assert all(a[1] is b[1] is getattr(geom, a[0]) for a, b in zip(rows, geom.checks()))
+
+    # validate prints the table in order, then the rows of the drift
+    fin = validate_finsler(FinslerData(g=g, X=X))
+    want += [("finsler_condition", fin.ok, fin.norm_X, True)]
+    if (red.subalgebra_ok and red.ad_invariant_ok and flagcurv.check_ad_h_invariance(L, g).ok
+            and g.norm(X) > 0):
+        nabla = geom.drift_parallel(X)
+        want += [("berwald_admissible", nabla.ok, nabla.max_defect, True)]
+    I, J, K = np.nonzero(np.triu(np.ones((len(L.c),) * 2), 1)[:, :, None] * L.c)
+    doc = {"dim": L.dim, "h_dim": h, "g0": geom.g0.tolist(), "X": X.tolist(),
+           "structure_constants": [[int(i) + 1, int(j) + 1, int(k) + 1, float(L.c[i, j, k])]
+                                   for i, j, k in zip(I, J, K)]}
+    if geom.m_dim:  # a 0x0 phi is the default; JSON's [] would be read as a vector
+        doc["phi"] = geom.phi.tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(doc))
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(["validate", str(path), "--output", "json"])
+    got = [(row["name"], row["ok"], row["value"], row["hard"])
+           for row in json.loads(buffer.getvalue())["checks"]]
+    assert got == [(name, ok, float(fmt(value)), hard) for name, ok, value, hard in want]
+    assert code == (0 if all(ok for _, ok, _, hard in want if hard) else 2)
 
 
 class TestCallDomain:

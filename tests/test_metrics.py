@@ -229,6 +229,25 @@ def test_malformed_metric_refused(g, error, message):
         InnerProduct(g)
 
 
+def test_large_metric_entries_stay_finite():
+    # a symmetric metric is kept as given; within the symmetry tolerance the
+    # symmetrization sums halves, so 1e308 does not overflow to inf
+    assert InnerProduct(np.diag([1e308, 1.0])).g[0, 0] == 1e308
+    g = InnerProduct(np.array([[1e308, 1e-300], [0.0, 1.0]])).g
+    assert g[0, 0] == 1e308 and np.array_equal(g, g.T)
+
+
+def test_geometry_checks_g0_phi_once(monkeypatch):
+    # one eigvalsh for g0 and one for g0 phi, which is then the inner product
+    # as it is: InnerProduct does not check it a second time
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    g0, phi = 2.0 * np.eye(3), np.diag([1.0, 2.0, 3.0])
+    geom = make_geometry(abelian(3), g0=g0, phi=phi)
+    assert len(calls) == 2
+    assert np.array_equal(geom.inner.g, g0 @ phi) and not geom.inner.g.flags.writeable
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("y, u", [
     ([np.nan, 0.0], [0.0, 1.0]),
