@@ -21,6 +21,17 @@ TOL_HYPOTHESIS = 1e-9
 TOL_RANK = 1e-10
 
 
+@dataclass(frozen=True)
+class CheckReport:
+    ok: bool
+    max_defect: float
+
+    @classmethod
+    def of(cls, defect: float) -> CheckReport:
+        """The report of a check that holds within TOL_HYPOTHESIS; a NaN defect fails."""
+        return cls(ok=defect <= TOL_HYPOTHESIS, max_defect=defect)
+
+
 @dataclass(frozen=True, eq=False)
 class LieAlgebraSpec:
     """Structure-constants description of a Lie algebra.
@@ -79,15 +90,6 @@ class LieAlgebraSpec:
         return ab @ c_IJ
 
 
-@dataclass(frozen=True)
-class ReductiveReport:
-    subalgebra_ok: bool
-    ad_invariant_ok: bool
-    max_defect: float
-    subalgebra_defect: float  # max |[h, h]_m|
-    ad_invariant_defect: float  # max |[h, m]_h|
-
-
 def bracket(L: LieAlgebraSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[x, y] in basis coordinates."""
     x = np.asarray(x, dtype=float)
@@ -144,19 +146,18 @@ def _bracket_span(c: np.ndarray) -> np.ndarray:
     return vt[:rank]
 
 
-def check_reductive(L: LieAlgebraSpec, h_dim: int) -> ReductiveReport:
-    """Verify [h, h] <= h and [h, m] <= m within TOL_HYPOTHESIS, for h the
-    first h_dim basis vectors."""
+def check_reductive(L: LieAlgebraSpec, h_dim: int) -> tuple[CheckReport, CheckReport]:
+    """The rows (reductive_subalgebra, reductive_ad_invariance): max |[h, h]_m|
+    and max |[h, m]_h|, for h the first h_dim basis vectors."""
     if not 0 <= h_dim <= L.dim:
         raise InputError(f"h_dim must lie in [0, {L.dim}], got {h_dim}")
     h = h_dim
-    # [h, h] must have no m-component; [h, m] no h-component.
-    sub_defect = float(np.abs(L.c[:h, :h, h:]).max(initial=0.0))
-    ad_defect = float(np.abs(L.c[:h, h:, :h]).max(initial=0.0))
-    return ReductiveReport(
-        subalgebra_ok=sub_defect <= TOL_HYPOTHESIS,
-        ad_invariant_ok=ad_defect <= TOL_HYPOTHESIS,
-        max_defect=max(sub_defect, ad_defect),
-        subalgebra_defect=sub_defect,
-        ad_invariant_defect=ad_defect,
-    )
+    return (CheckReport.of(float(np.abs(L.c[:h, :h, h:]).max(initial=0.0))),
+            CheckReport.of(float(np.abs(L.c[:h, h:, :h]).max(initial=0.0))))
+
+
+def reductive_split(rows: tuple[CheckReport, CheckReport]) -> tuple[str, CheckReport]:
+    """The split's (words of refusal, CheckReport) from check_reductive's two
+    rows: it holds when both do, and carries the larger defect."""
+    return ("the split is not reductive: [h, m] has an h-component or [h, h] an m-component",
+            CheckReport.of(max(row.max_defect for row in rows)))

@@ -18,10 +18,10 @@ import numpy as np
 
 from .algebra import TOL_HYPOTHESIS, TOL_RANK, LieAlgebraSpec, _bracket_span, derived_subalgebra
 from .errors import FlagError, InputError
-from .flagcurvature import NOT_AD_H_INVARIANT, _check_draws
+from .flagcurvature import _check_draws
 from .geometry import HomogeneousGeometry
 from .metrics import CheckReport, InnerProduct, _h_dim_of, _skew_check, require
-from .riemann import _require_reductive, sectional
+from .riemann import sectional
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,11 +57,17 @@ def _null_rows(A: np.ndarray) -> np.ndarray:
 
 def _unit_orthogonal(g: InnerProduct, Xu: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The rows of v made g-orthogonal to the g-unit Xu and g-unit, dropping
-    rows left shorter than 1e-10."""
-    v = v - np.outer(v @ (Xu @ g.g), Xu)
-    nv = np.sqrt(np.maximum(np.einsum("ij,ij->i", v @ g.g, v), 0.0))
-    keep = nv >= 1e-10
-    return v[keep] / nv[keep, None]
+    rows whose largest entry the projection leaves at most 1e-10 of what it
+    was.  Each g-length is measured on its row and g scaled by powers of two,
+    so no square overflows, and the lengths of moderate rows are unchanged."""
+    w = v - np.outer(v @ (Xu @ g.g), Xu)
+    size = np.abs(w).max(axis=1, initial=0.0)
+    e, f = np.frexp(size)[1], np.frexp(np.abs(g.g).max())[1] // 2
+    ws = np.ldexp(w, -e[:, None])
+    nv = np.ldexp(np.sqrt(np.maximum(np.einsum("ij,ij->i", ws @ np.ldexp(g.g, -2 * f), ws),
+                                     0.0)), e + f)
+    keep = (size > 1e-10 * np.abs(v).max(axis=1, initial=0.0)) & (nv > 0)
+    return w[keep] / nv[keep, None]
 
 
 def _drift(geom: HomogeneousGeometry, X: np.ndarray) -> np.ndarray:
@@ -70,8 +76,7 @@ def _drift(geom: HomogeneousGeometry, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape != (geom.m_dim,):
         raise InputError(f"drift vector must have length {geom.m_dim}")
-    _require_reductive(geom.reductive)
-    require([(NOT_AD_H_INVARIANT, geom.ad_h_invariance)])
+    require(geom.levi_civita())
     return X
 
 

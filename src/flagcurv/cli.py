@@ -124,11 +124,9 @@ def cmd_validate(config: ProblemConfig, args) -> int:
     fin = validate_finsler(data)
     checks = [*geom.checks(), ("finsler_condition", CheckReport(fin.ok, fin.norm_X), True)]
 
-    # geom.connection is the metric's Levi-Civita connection only on a
-    # reductive split with an ad(h)-invariant metric
+    # geom.connection is the metric's Levi-Civita connection only where levi_civita() holds
     berwald_status = "not checked"
-    if (geom.reductive_subalgebra.ok and geom.reductive_ad_invariance.ok
-            and geom.ad_h_invariance.ok):
+    if all(rep.ok for _, rep in geom.levi_civita()):
         berwald_status = "trivial (X = 0: metric is Riemannian)"
         if geom.inner.norm(data.X) > 0:
             nabla = geom.drift_parallel(data.X)

@@ -231,7 +231,8 @@ def build_problem(
         algebra,
         h_dim=config.h_dim,
         g0=np.array(config.g0) if config.g0 is not None else None,
-        phi=np.array(config.phi) if config.phi is not None else None,
+        # no phi is the default; an empty tuple of rows is the 0x0 matrix
+        phi=None if config.phi is None else np.array(config.phi or np.zeros((0, 0))),
     )
     X = np.array(config.X) if config.X is not None else np.zeros(config.m_dim)
     data = FinslerData(g=geom.inner, X=X)

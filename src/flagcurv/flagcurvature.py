@@ -26,9 +26,9 @@ import numpy as np
 from .algebra import LieAlgebraSpec
 from .errors import FlagError, InputError, PreconditionError
 from .finsler import FinslerData, validate_finsler
-from .geometry import HomogeneousGeometry, make_geometry
+from .geometry import NOT_AD_H_INVARIANT, HomogeneousGeometry, make_geometry
 from .metrics import Flag, InnerProduct, orthonormalize_flag, require
-from .riemann import _nat_reductive_RUYY, _pad_m, _require_reductive, curvature_oracle
+from .riemann import NOT_NATURALLY_REDUCTIVE, _nat_reductive_RUYY, _pad_m, curvature_oracle
 
 CONVENTIONS = ("oracle-aligned", "paper-verbatim")
 METHODS = ("general", "naturally-reductive", "bi-invariant")
@@ -87,12 +87,11 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Each method's drift-free hypotheses as (check-table row, words of refusal), in
 # order.  _Kernel refuses those the double-bracket formulas need; the general
 # closed form evaluates on any metric, so only the CLI gate refuses its rows.
-NOT_AD_H_INVARIANT = "metric is not ad(h)-invariant"
 HYPOTHESES = {
     "general": (("ad_h_invariance", NOT_AD_H_INVARIANT),
                 ("g0_bi_invariance", "g0 is not bi-invariant")),
     "naturally-reductive": (("ad_h_invariance", NOT_AD_H_INVARIANT),
-                            ("naturally_reductive", "metric is not naturally reductive")),
+                            ("naturally_reductive", NOT_NATURALLY_REDUCTIVE)),
     # on a group a metric is bi-invariant exactly when it is naturally reductive
     "bi-invariant": (("naturally_reductive", "metric is not bi-invariant"),),
 }
@@ -135,7 +134,7 @@ class _Kernel:
             )
         if geom.m_dim < 2:
             raise FlagError("flags need m_dim >= 2")
-        _require_reductive(geom.reductive)
+        require([next(geom.levi_civita())])  # the split; the metric's rows are in HYPOTHESES
         if method == "bi-invariant" and geom.h_dim != 0:
             # the metric on m alone cannot be bi-invariant on the algebra
             raise PreconditionError("bi-invariant method needs trivial isotropy")
@@ -167,7 +166,7 @@ class _Kernel:
         geom, N = self.geom, len(Y)
         URYY = self(Y, U)
         XRYY, RYYY, oracle, mismatch = [None] * N, np.zeros(N), [None] * N, [None] * N
-        if geom.ad_h_invariance.ok:
+        if all(rep.ok for _, rep in geom.levi_civita()):
             r = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
             o = _rowdot(r @ geom.inner.g, U)
             tol = np.maximum(1e-9, 1e-9 * np.abs(o))

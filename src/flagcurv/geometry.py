@@ -7,10 +7,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, ReductiveReport, check_reductive, jacobi_defect
+from .algebra import CheckReport, LieAlgebraSpec, check_reductive, jacobi_defect, reductive_split
 from .errors import InputError, ValidationError
 from .metrics import (
-    CheckReport,
     InnerProduct,
     _spd,
     check_ad_h_invariance,
@@ -19,14 +18,16 @@ from .metrics import (
 )
 from .riemann import ConnectionTable, koszul_connection
 
+NOT_AD_H_INVARIANT = "metric is not ad(h)-invariant"
+
 # The check table: the drift-free checks as (name, hard, report of a geometry) in
 # the order validate prints them.  validate fails when a hard row fails; the CLI
 # gate refuses the first STRUCTURE rows, of the algebra and split, before the rest.
+# The split's two rows are check_reductive's, set at construction (None here).
 CHECKS = (
     ("jacobi", True, lambda geo: CheckReport.of(jacobi_defect(geo.algebra))),
-    ("reductive_subalgebra", True, lambda geo: CheckReport.of(geo.reductive.subalgebra_defect)),
-    ("reductive_ad_invariance", True,
-     lambda geo: CheckReport.of(geo.reductive.ad_invariant_defect)),
+    ("reductive_subalgebra", True, None),
+    ("reductive_ad_invariance", True, None),
     ("g0_bi_invariance", False, lambda geo: check_bi_invariance(geo.algebra, geo.g0)),
     ("ad_h_invariance", True, lambda geo: check_ad_h_invariance(geo.algebra, geo.inner)),
     ("naturally_reductive", False,
@@ -43,24 +44,23 @@ class HomogeneousGeometry:
     <x, y> = <phi x, y>_0 is an inner product on m.
 
     Construction validates the split 0 <= h_dim <= n, g0 and phi, and
-    derives check_reductive's report, which every method needs, phi extended
-    by the identity on h, and the inner product.  Each row of the check table
-    is an attribute by its name; it, and each operator that does not depend on
-    a flag, is computed on first use and cached.  The geometry is frozen and
-    its arrays are read-only, so they never go stale.
+    derives the split's two check-table rows, which every method needs, phi
+    extended by the identity on h, and the inner product.  Each row of the
+    check table is an attribute by its name; every other row, and each operator
+    that does not depend on a flag, is computed on first use and cached.  The
+    geometry is frozen and its arrays are read-only, so they never go stale.
     """
 
     algebra: LieAlgebraSpec
     h_dim: int
     g0: np.ndarray
     phi: np.ndarray
-    reductive: ReductiveReport = field(init=False)
     phi_full: np.ndarray = field(init=False)
     inner: InnerProduct = field(init=False)
 
     def __post_init__(self):
         n, h = self.algebra.dim, self.h_dim
-        reductive = check_reductive(self.algebra, h)  # refuses h outside [0, n]
+        split = check_reductive(self.algebra, h)  # refuses h outside [0, n]
         m = n - h
         g0 = np.array(self.g0, dtype=float)
         if g0.shape != (n, n):
@@ -85,8 +85,8 @@ class HomogeneousGeometry:
         phi_full[h:, h:] = phi
         for arr in (g0, phi, phi_full):
             arr.setflags(write=False)
-        for name, value in (("reductive", reductive), ("g0", g0), ("phi", phi),
-                            ("phi_full", phi_full), ("inner", inner)):
+        for name, value in (*zip(("reductive_subalgebra", "reductive_ad_invariance"), split),
+                            ("g0", g0), ("phi", phi), ("phi_full", phi_full), ("inner", inner)):
             object.__setattr__(self, name, value)
 
     @property
@@ -108,6 +108,13 @@ class HomogeneousGeometry:
             if name != "ad_h_invariance" or self.h_dim:
                 yield name, getattr(self, name), hard
 
+    def levi_civita(self):
+        """The precondition under which connection is the metric's Levi-Civita
+        connection, as (words of refusal, CheckReport) pairs, lazily, in order:
+        the split is reductive (both of its rows hold), the metric ad(h)-invariant."""
+        yield reductive_split((self.reductive_subalgebra, self.reductive_ad_invariance))
+        yield NOT_AD_H_INVARIANT, self.ad_h_invariance
+
     @cached_property
     def g0_phi_inv(self) -> np.ndarray:
         """g0 phi^-1 on the full algebra: <a, phi^-1 b>_0 = a @ g0_phi_inv @ b."""
@@ -119,7 +126,7 @@ class HomogeneousGeometry:
     @cached_property
     def connection(self) -> ConnectionTable:
         """Levi-Civita connection as the Nomizu map on m, for any isotropy;
-        it is the metric's connection where ad_h_invariance holds."""
+        it is the metric's connection where levi_civita() holds."""
         return koszul_connection(self.algebra, self.inner)
 
     def drift_parallel(self, X: np.ndarray) -> CheckReport:

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import TOL_HYPOTHESIS, LieAlgebraSpec
+from .algebra import TOL_HYPOTHESIS, CheckReport, LieAlgebraSpec
 from .errors import FlagError, InputError, PreconditionError, ValidationError
 
 TOL_DEP = 1e-12
@@ -72,17 +72,6 @@ class Flag:
     U: np.ndarray
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    max_defect: float
-
-    @classmethod
-    def of(cls, defect: float) -> CheckReport:
-        """The report of a check that holds within TOL_HYPOTHESIS; a NaN defect fails."""
-        return cls(ok=defect <= TOL_HYPOTHESIS, max_defect=defect)
-
-
 def require(reports) -> None:
     """Refuse (PreconditionError) at the first failing (words, CheckReport) pair."""
     for words, rep in reports:
@@ -136,7 +125,9 @@ def orthonormalize_flag(
 ) -> Flag:
     """Gram-Schmidt the pair (y, u) into a g-orthonormal flag.
 
-    Classical single pass with one re-orthogonalization of U against Y.
+    Classical single pass with one re-orthogonalization of U against Y.  The
+    pair is dependent (FlagError) when its Gram determinant is at most tol_dep
+    |y|^2 |u|^2, a test unchanged by scaling g, y or u.
     """
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -148,7 +139,7 @@ def orthonormalize_flag(
         raise InputError("flag vectors must be finite, with finite g-lengths")
     gyu = g.dot(y, u)
     gram = gyy * guu - gyu * gyu
-    if gyy <= 0 or gram <= tol_dep * max(1.0, gyy * guu):
+    if gyy <= 0 or gram <= tol_dep * gyy * guu:
         raise FlagError("flag vectors are (numerically) linearly dependent")
     Y = y / np.sqrt(gyy)
     w = u - g.dot(Y, u) * Y

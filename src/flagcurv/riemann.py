@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebraSpec, ReductiveReport, check_reductive
-from .errors import FlagError, InputError, PreconditionError
+from .algebra import LieAlgebraSpec, check_reductive, reductive_split
+from .errors import FlagError, InputError
 from .metrics import InnerProduct, _h_dim_of, check_naturally_reductive, require
 
 TOL_ORACLE = 1e-10
+NOT_NATURALLY_REDUCTIVE = "metric is not naturally reductive"
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +49,7 @@ def koszul_connection(L: LieAlgebraSpec, g: InnerProduct) -> ConnectionTable:
     of m; with h_dim = 0 this is the Koszul connection on the group.
     """
     h = _h_dim_of(L, g)
-    _require_reductive(check_reductive(L, h))
+    require([reductive_split(check_reductive(L, h))])
     c, gm = L.c[h:, h:, h:], g.g
     # rhs[i,j,k] = <[e_i,e_j]_m,e_k> - <[e_j,e_k]_m,e_i> + <[e_k,e_i]_m,e_j>
     bg = c @ gm  # <[e_i,e_j]_m,e_k>
@@ -91,11 +92,11 @@ def nat_reductive_R(
     verified first.  The split must be reductive, so that the h-bracket
     term lands in m; this is asserted, not silently projected.
     """
-    _require_reductive(check_reductive(L, h_dim))
+    require([reductive_split(check_reductive(L, h_dim))])
     if g is not None:
         if g.dim != L.dim - h_dim:
             raise InputError(f"metric dimension {g.dim} does not match m_dim {L.dim - h_dim}")
-        require([("metric is not naturally reductive", check_naturally_reductive(L, g))])
+        require([(NOT_NATURALLY_REDUCTIVE, check_naturally_reductive(L, g))])
     uf, yf = _pad_m(L.dim, h_dim, u, y)
     return _nat_reductive_RUYY(L, yf[None], uf[None], h_dim)[0]
 
@@ -110,14 +111,6 @@ def _pad_m(n: int, h_dim: int, *xs: np.ndarray) -> np.ndarray:
             raise InputError(f"expected m-vector of length {n - h_dim}, got shape {x.shape}")
         row[h_dim:] = x
     return out
-
-
-def _require_reductive(rep: ReductiveReport) -> None:
-    if not (rep.subalgebra_ok and rep.ad_invariant_ok):
-        raise PreconditionError(
-            "the split is not reductive: [h, m] has an h-component or [h, h] "
-            f"an m-component (defect {rep.max_defect:g})"
-        )
 
 
 def _nat_reductive_RUYY(

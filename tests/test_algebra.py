@@ -12,7 +12,7 @@ from flagcurv import (
     derived_subalgebra,
     jacobi_defect,
 )
-from flagcurv.algebra import TOL_HYPOTHESIS
+from flagcurv.algebra import TOL_HYPOTHESIS, CheckReport, reductive_split
 from conftest import (
     change_basis,
     direct_sum,
@@ -257,14 +257,14 @@ def test_project_su2_u1(su2_u1):
 
 
 def test_check_reductive_su2_u1(su2_u1):
-    rep = check_reductive(su2_u1, 1)
-    assert rep.subalgebra_ok and rep.ad_invariant_ok
-    assert rep.max_defect == 0.0
+    sub, ad = check_reductive(su2_u1, 1)
+    assert sub.ok and ad.ok
+    assert sub.max_defect == ad.max_defect == 0.0
 
 
 def test_check_reductive_trivial_h(su2):
-    rep = check_reductive(su2, 0)
-    assert rep.subalgebra_ok and rep.ad_invariant_ok
+    sub, ad = check_reductive(su2, 0)
+    assert sub.ok and ad.ok
 
 
 def test_check_reductive_rotated_one_dim_isotropy_still_passes(su2):
@@ -274,8 +274,8 @@ def test_check_reductive_rotated_one_dim_isotropy_still_passes(su2):
     c = change_basis(su2_tensor(), T)
     L = LieAlgebraSpec(3, c)
     assert jacobi_defect(L) < 1e-12
-    rep = check_reductive(L, 1)
-    assert rep.subalgebra_ok and rep.ad_invariant_ok
+    sub, ad = check_reductive(L, 1)
+    assert sub.ok and ad.ok
 
 
 def test_check_reductive_ad_invariance_fails():
@@ -285,13 +285,17 @@ def test_check_reductive_ad_invariance_fails():
     c[0, 1, 0] = 1.0
     c[1, 0, 0] = -1.0
     L = LieAlgebraSpec(2, c)
-    rep = check_reductive(L, 1)
-    assert rep.subalgebra_ok
-    assert not rep.ad_invariant_ok
-    assert rep.max_defect == pytest.approx(1.0)
+    sub, ad = check_reductive(L, 1)
+    assert sub.ok
+    assert not ad.ok
+    assert ad.max_defect == pytest.approx(1.0)
+    assert reductive_split((sub, ad))[1] == ad
 
 
 def test_check_reductive_subalgebra_fails(su2):
-    rep = check_reductive(su2, 2)
-    assert not rep.subalgebra_ok  # [e1, e2] = e3 escapes h
-    assert rep.max_defect == pytest.approx(1.0)
+    sub, ad = check_reductive(su2, 2)
+    assert not sub.ok  # [e1, e2] = e3 escapes h
+    assert sub.max_defect == pytest.approx(1.0)
+    words, split = reductive_split((sub, ad))
+    assert words.startswith("the split is not reductive")
+    assert split == CheckReport(False, sub.max_defect)

@@ -21,9 +21,10 @@ from flagcurv.cli import (SCHEMA_VERSION, _ryyy, _subcommands, build_parser, emi
 from flagcurv.config import (_all_real, _is_real, build_problem, config_from_dict,
                              parse_config, structure_tensor)
 from flagcurv.algebra import TOL_HYPOTHESIS
-from flagcurv.errors import InputError, NumericError
+from flagcurv.berwald import obstruction_report
+from flagcurv.errors import InputError, NumericError, PreconditionError
 from flagcurv.finsler import FinslerData, validate_finsler
-from flagcurv.flagcurvature import hypotheses, scan_flags
+from flagcurv.flagcurvature import _Kernel, hypotheses, scan_flags
 from flagcurv.geometry import make_geometry
 from test_algebra import structure_tensors
 from test_kernel import _count
@@ -667,12 +668,48 @@ def test_validate_reads_large_constants_without_overflow(capsys, tmp_path):
     assert values["jacobi"] == 0.0 and values["g0_bi_invariance"] == 1e308
 
 
+@pytest.mark.parametrize("t", [1e-300, 1e-21, 1.0, 1e308])
+def test_berwald_samples_a_parallel_drift_at_extreme_metric_scales(capsys, tmp_path, t):
+    # R^2 with phi = diag(t, 1) and X = e2/2: every sample u lies along e1, whose
+    # g-length sqrt(t) |u_1| would overflow when squared, or read as short
+    path = TestGate.write(tmp_path, {"dim": 2, "structure_constants": [],
+                                     "phi": [[t, 0.0], [0.0, 1.0]], "X": [0.0, 0.5]})
+    code, out, err = run(capsys, "berwald", path, "--samples", "50", "--output", "json")
+    assert (code, err) == (0, "")
+    sect = json.loads(out)["sectional_along_X"]
+    assert (sect["min_K"], sect["max_K"], sect["n_samples"]) == (0.0, 0.0, 50)
+
+
+@pytest.mark.parametrize("doc, K", [
+    pytest.param({"dim": 2, "structure_constants": [], "phi": [[1e-13, 0.0], [0.0, 1.0]],
+                  "flags": [[[1.0, 0.0], [0.0, 1.0]]]}, 0.0, id="R2-phi=diag(1e-13,1)"),
+    pytest.param({"dim": 3, "structure_constants": [[1, 2, 3, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]],
+                  "flags": [[[1e-7, 0.0, 0.0], [0.0, 1.0, 0.0]]]}, 0.25, id="su2-Y=1e-7e1"),
+])
+def test_curvature_reads_short_orthogonal_flags(capsys, tmp_path, doc, K):
+    code, out, _ = run(capsys, "curvature", TestGate.write(tmp_path, doc), "--output", "json")
+    assert code == 0
+    assert json.loads(out)["flags"][0]["K"] == pytest.approx(K, abs=1e-15)
+
+
+def test_explicit_empty_phi_is_the_default(capsys, tmp_path):
+    # m_dim = 0: phi = [] is the 0x0 matrix
+    doc = dict(TestCallDomain.ISOTROPY_ONLY)
+    for output in ("table", "json"):
+        want = run(capsys, "validate", TestGate.write(tmp_path, doc), "--output", output)
+        assert want[0] == 0
+        got = run(capsys, "validate", TestGate.write(tmp_path, {**doc, "phi": []}),
+                  "--output", output)
+        assert got == want
+
+
 @st.composite
 def table_problems(draw):
     """A geometry and a drift: a random algebra (Jacobi may fail) with a
-    random split and metric on m, or S^k x R with an ad(h)-invariant one;
-    g0 random or the identity, phi = g0_m^-1 S for the metric S on m, and
-    |X|_g up to 1.2, so the Finsler condition may fail."""
+    random split and metric on m, or S^k x R with an ad(h)-invariant one or
+    one coupling the sphere to R; g0 random or the identity, phi = g0_m^-1 S
+    for the metric S on m, and |X|_g up to 1.2, so the Finsler condition may
+    fail."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         c, _ = draw(structure_tensors())
@@ -684,6 +721,8 @@ def table_problems(draw):
         k = draw(st.integers(2, 4))
         c, n, h = sphere_tensor(k), k * (k + 1) // 2 + 1, k * (k - 1) // 2
         S = np.diag([rng.uniform(0.5, 2.0)] * k + [rng.uniform(0.5, 2.0)])
+        if draw(st.booleans()):
+            S[0, k] = S[k, 0] = 0.4
     B = rng.normal(size=(n, n))
     g0 = B @ B.T / n + np.eye(n) if draw(st.booleans()) else np.eye(n)
     phi = np.linalg.solve(g0[h:, h:], S) if h < n else np.zeros((0, 0))
@@ -699,11 +738,10 @@ def table_problems(draw):
 def test_check_table_rows_are_the_standalone_checks(problem):
     geom, X = problem
     L, g, h = geom.algebra, geom.inner, geom.h_dim
-    jd, red = flagcurv.jacobi_defect(L), flagcurv.check_reductive(L, h)
-    want = [("jacobi", jd <= TOL_HYPOTHESIS, jd, True),
-            ("reductive_subalgebra", red.subalgebra_ok, red.subalgebra_defect, True),
-            ("reductive_ad_invariance", red.ad_invariant_ok, red.ad_invariant_defect, True)]
+    jd, (sub, ad) = flagcurv.jacobi_defect(L), flagcurv.check_reductive(L, h)
+    want = [("jacobi", jd <= TOL_HYPOTHESIS, jd, True)]
     for name, rep, hard in (
+            ("reductive_subalgebra", sub, True), ("reductive_ad_invariance", ad, True),
             ("g0_bi_invariance", flagcurv.check_bi_invariance(L, geom.g0), False),
             ("ad_h_invariance", flagcurv.check_ad_h_invariance(L, g), True),
             ("naturally_reductive", flagcurv.check_naturally_reductive(L, g), False)):
@@ -717,26 +755,56 @@ def test_check_table_rows_are_the_standalone_checks(problem):
     # validate prints the table in order, then the rows of the drift
     fin = validate_finsler(FinslerData(g=g, X=X))
     want += [("finsler_condition", fin.ok, fin.norm_X, True)]
-    if (red.subalgebra_ok and red.ad_invariant_ok and flagcurv.check_ad_h_invariance(L, g).ok
-            and g.norm(X) > 0):
+    if sub.ok and ad.ok and flagcurv.check_ad_h_invariance(L, g).ok and g.norm(X) > 0:
         nabla = geom.drift_parallel(X)
         want += [("berwald_admissible", nabla.ok, nabla.max_defect, True)]
-    I, J, K = np.nonzero(np.triu(np.ones((len(L.c),) * 2), 1)[:, :, None] * L.c)
-    doc = {"dim": L.dim, "h_dim": h, "g0": geom.g0.tolist(), "X": X.tolist(),
+    code, doc = _validate(geom, X)
+    got = [(row["name"], row["ok"], row["value"], row["hard"]) for row in doc["checks"]]
+    assert got == [(name, ok, float(fmt(value)), hard) for name, ok, value, hard in want]
+    assert code == (0 if all(ok for _, ok, _, hard in want if hard) else 2)
+
+
+def _validate(geom, X):
+    """Exit code and JSON document of validate on a config of geom and X."""
+    L = geom.algebra
+    I, J, K = np.nonzero(np.triu(np.ones((L.dim,) * 2), 1)[:, :, None] * L.c)
+    doc = {"dim": L.dim, "h_dim": geom.h_dim, "g0": geom.g0.tolist(), "phi": geom.phi.tolist(),
+           "X": X.tolist(),
            "structure_constants": [[int(i) + 1, int(j) + 1, int(k) + 1, float(L.c[i, j, k])]
                                    for i, j, k in zip(I, J, K)]}
-    if geom.m_dim:  # a 0x0 phi is the default; JSON's [] would be read as a vector
-        doc["phi"] = geom.phi.tolist()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.json"
         path.write_text(json.dumps(doc))
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             code = main(["validate", str(path), "--output", "json"])
-    got = [(row["name"], row["ok"], row["value"], row["hard"])
-           for row in json.loads(buffer.getvalue())["checks"]]
-    assert got == [(name, ok, float(fmt(value)), hard) for name, ok, value, hard in want]
-    assert code == (0 if all(ok for _, ok, _, hard in want if hard) else 2)
+    return code, json.loads(buffer.getvalue())
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_problems())
+def test_readers_of_the_levi_civita_precondition_agree(problem):
+    geom, X = problem
+    pairs = list(geom.levi_civita())
+    split_ok = geom.reductive_subalgebra.ok and geom.reductive_ad_invariance.ok
+    assert [rep.ok for _, rep in pairs] == [split_ok, geom.ad_h_invariance.ok]
+    refusals = [f"{words} (defect {rep.max_defect:g})" for words, rep in pairs if not rep.ok]
+
+    assert (_validate(geom, X)[1]["berwald"] == "not checked") == bool(refusals)
+    if refusals:
+        with pytest.raises(PreconditionError) as refused:
+            obstruction_report(geom, X)
+        assert str(refused.value) == refusals[0]
+    else:
+        obstruction_report(geom, X)
+    if geom.m_dim >= 2:  # else the kernel refuses the call before the split
+        data = FinslerData(g=geom.inner, X=np.zeros(geom.m_dim))
+        try:
+            _Kernel(geom, data, "general", "oracle-aligned")
+            words = None
+        except PreconditionError as exc:
+            words = str(exc)
+        assert words == (None if split_ok else refusals[0])
 
 
 class TestCallDomain:

@@ -174,6 +174,33 @@ class TestOrthonormalizeFlag:
             assert g.dot(flag.Y, flag.U) == pytest.approx(0.0, abs=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.integers(-30, 30),
+       st.integers(-30, 30), st.integers(-30, 30), st.sampled_from([0.0, 1e-7, 1e-4, 1.0]))
+def test_dependence_verdict_does_not_depend_on_the_scale(n, seed, s, a, b, tilt):
+    """Scaling g by 10^s, y by 10^a and u by 10^b keeps the verdict, and
+    scales the flag by 10^(-s/2).  u = 3y + tilt w with w g-orthogonal to y
+    and as long: the pair's sin^2 is tilt^2 / (9 + tilt^2), dependent below
+    TOL_DEP = 1e-12, so at tilt 0 and 1e-7."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    g = A @ A.T + n * np.eye(n)
+    y, w = rng.normal(size=(2, n))
+    w -= (y @ g @ w) / (y @ g @ y) * y
+    u = 3.0 * y + tilt * np.sqrt((y @ g @ y) / (w @ g @ w)) * w
+    scaled = InnerProduct(10.0**s * g), 10.0**a * y, 10.0**b * u
+    if tilt < 1e-6:
+        for call in ((InnerProduct(g), y, u), scaled):
+            with pytest.raises(FlagError, match="linearly dependent"):
+                orthonormalize_flag(*call)
+        return
+    flag, got = orthonormalize_flag(InnerProduct(g), y, u), orthonormalize_flag(*scaled)
+    unit = 10.0 ** (s / 2)
+    assert np.allclose(unit * got.Y, flag.Y, rtol=0, atol=1e-12)
+    # U is read off the tilt, so it carries a rounding error of about eps / tilt
+    assert np.allclose(unit * got.U, flag.U, rtol=0, atol=1e-12 / tilt)
+
+
 def test_g0_must_be_symmetric():
     with pytest.raises(ValidationError):
         make_geometry(abelian(2), g0=np.array([[1.0, 0.1], [0.0, 1.0]]))
