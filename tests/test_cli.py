@@ -990,13 +990,31 @@ class TestGoldenOutput:
         assert got[:2] == (0, (GOLDEN / f"{command}_{name}.json").read_text())
 
     def test_default_curvature_table(self, capsys):
-        got = replay(capsys, "curvature", str(CONFIGS / "su2_plus_r.json"))
-        assert got[:2] == (0, (GOLDEN / "curvature_su2_plus_r.txt").read_text())
+        # input_s2_r_coupled has no Levi-Civita connection: XRYY prints n/a
+        # and sign_mismatch None
+        for path, extra in [(CONFIGS / "su2_plus_r.json", ()), (CONFIGS / "su2.json", ()),
+                            (CONFIGS / "su2_u1.json", ()), (CONFIGS / "abelian_r3.json", ()),
+                            (CONFIGS / "heisenberg.json", ("--force",)),
+                            (GOLDEN / "input_s2_r_coupled.json", ("--force",))]:
+            got = replay(capsys, "curvature", str(path), *extra)
+            name = path.stem.removeprefix("input_")
+            assert got[:2] == (0, (GOLDEN / f"curvature_{name}.txt").read_text()), name
 
-    @pytest.mark.parametrize("command", ["validate", "scan", "berwald"])
-    def test_default_table(self, capsys, command):
-        got = replay(capsys, command, str(CONFIGS / "su2_plus_r.json"))
-        assert got[:2] == (0, (GOLDEN / f"{command}_su2_plus_r.txt").read_text())
+    @pytest.mark.parametrize("command, name, extra, code", [
+        pytest.param("validate", "su2_plus_r", (), 0, id="validate"),
+        pytest.param("scan", "su2_plus_r", (), 0, id="scan"),
+        pytest.param("berwald", "su2_plus_r", (), 0, id="berwald"),
+        *(pytest.param("validate", name, (), code, id=f"validate-{name}")
+          for name, code in [("abelian_r3", 0), ("heisenberg", 2), ("su2", 0), ("su2_u1", 0)]),
+        *(pytest.param("scan", name, (), 0, id=f"scan-{name}")
+          for name in ["su2", "su2_u1", "abelian_r3"]),
+        pytest.param("scan", "heisenberg", ("--force",), 0, id="scan-heisenberg"),
+        *(pytest.param("berwald", name, (), 0, id=f"berwald-{name}")
+          for name in ["heisenberg", "su2_u1"]),
+    ])
+    def test_default_table(self, capsys, command, name, extra, code):
+        got = replay(capsys, command, str(CONFIGS / f"{name}.json"), *extra)
+        assert got[:2] == (code, (GOLDEN / f"{command}_{name}.txt").read_text())
 
     @pytest.mark.parametrize("name", ["su2_plus_r", "heisenberg", "su2_u1"])
     def test_berwald(self, capsys, name):
