@@ -1,8 +1,9 @@
 """Command-line front-end: validate | curvature | scan | berwald.
 
 Reads a JSON problem config (see config.py for the schema), runs the
-requested computation, and prints either an aligned table or
-schema-versioned JSON.  Reals are printed with 12 significant digits;
+requested computation and builds its one document, which --output json
+prints under schema_version and the aligned table views, reading no
+report again.  Reals are printed with 12 significant digits;
 identical config + seed gives byte-identical JSON output.  A process
 builds each subcommand's parser once, on its first call, and writes JSON
 in one pass over the document.
@@ -17,7 +18,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
@@ -100,12 +101,30 @@ def emit_json(doc: dict) -> None:
     print("".join(out))
 
 
-def emit_table(rows: list[tuple[str, str]], title: str | None = None) -> None:
+def _vec(v: list) -> str:
+    return "[" + ", ".join(fmt(float(x)) for x in v) + "]"
+
+
+def _cell(value) -> str:
+    """A table cell: a vector by _vec, a real by fmt, a bool, int, None or str by str."""
+    if isinstance(value, list):
+        return _vec(value)
+    return fmt(value) if isinstance(value, float) else str(value)
+
+
+def emit_table(rows: list[tuple[str, object]], title: str | None = None) -> None:
+    """Print title, then one aligned line per (label, value) row; _cell writes the value."""
     if title:
         print(title)
     width = max((len(k) for k, _ in rows), default=0)
     for k, v in rows:
-        print(f"  {k:<{width}}  {v}")
+        print(f"  {k:<{width}}  {_cell(v)}")
+
+
+def _fields(report) -> dict:
+    """A report's fields by name, a nested Flag as its dict and an array as a list."""
+    return {k: _fields(v) if is_dataclass(v) else v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(report).items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,10 +132,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
-
-
-def _vec(v: np.ndarray) -> str:
-    return "[" + ", ".join(fmt(float(x)) for x in v) + "]"
 
 
 def cmd_validate(config: ProblemConfig, args) -> int:
@@ -138,25 +153,23 @@ def cmd_validate(config: ProblemConfig, args) -> int:
                                    "of this type exists")
 
     failed_hard = [name for name, rep, hard in checks if hard and not rep.ok]
+    doc = {
+        "command": "validate",
+        "name": config.name,
+        "checks": [{"name": name, "ok": bool(rep.ok), "value": rep.max_defect, "hard": hard}
+                   for name, rep, hard in checks],
+        "berwald": berwald_status,
+        "ok": not failed_hard,
+    }
     if args.output == "json":
-        emit_json({
-            "command": "validate",
-            "name": config.name,
-            "checks": [
-                {"name": name, "ok": bool(rep.ok), "value": rep.max_defect, "hard": hard}
-                for name, rep, hard in checks
-            ],
-            "berwald": berwald_status,
-            "ok": not failed_hard,
-        })
+        emit_json(doc)
     else:
-        rows = [(name, f"{'ok' if rep.ok else 'FAIL'}  ({fmt(rep.max_defect)})")
-                for name, rep, _ in checks]
-        rows.append(("berwald", berwald_status))
-        rows.append(("result", "ok" if not failed_hard else
-                     "FAILED: " + ", ".join(failed_hard)))
-        emit_table(rows, title=f"validate {config.name}")
-    return EXIT_OK if not failed_hard else EXIT_VALIDATION
+        emit_table([*((c["name"], f"{'ok' if c['ok'] else 'FAIL'}  ({fmt(c['value'])})")
+                      for c in doc["checks"]),
+                    ("berwald", doc["berwald"]),
+                    ("result", "ok" if doc["ok"] else "FAILED: " + ", ".join(failed_hard))],
+                   title=f"validate {config.name}")
+    return EXIT_OK if doc["ok"] else EXIT_VALIDATION
 
 
 def _gate(config: ProblemConfig, args, method: str | None):
@@ -187,53 +200,28 @@ def cmd_curvature(config: ProblemConfig, args) -> int:
     Y, U = np.array([f.Y for f in flags]), np.array([f.U for f in flags])
     # a flag moved by more than 1e-10 in an entry, or by NaN, was re-orthonormalized
     moved = np.abs(np.hstack((Y, U)) - np.array(raw_flags, dtype=float).reshape(len(Y), -1))
-    results = list(enumerate(zip(flags, (~(moved.max(axis=1) <= 1e-10)).tolist(),
-                                 kernel.reports(Y, U))))
+    doc = {
+        "command": "curvature", "name": config.name, "convention": convention, "method": method,
+        "flags": [
+            {"index": idx, "Y": y, "U": u, "orthonormalized": normalized, "K": rep.K,
+             "XRYY": rep.contractions.XRYY, "URYY": rep.contractions.URYY, "RYYY": _ryyy(rep),
+             "numerator": rep.numerator, "denominator": rep.denominator,
+             "oracle_URYY": rep.oracle_URYY, "sign_mismatch": rep.sign_mismatch}
+            for idx, (y, u, normalized, rep) in enumerate(zip(
+                Y.tolist(), U.tolist(), (~(moved.max(axis=1) <= 1e-10)).tolist(),
+                kernel.reports(Y, U)), 1)
+        ],
+    }
     if args.output == "json":
-        emit_json({
-            "command": "curvature",
-            "name": config.name,
-            "convention": convention,
-            "method": method,
-            "flags": [
-                {
-                    "index": idx + 1,
-                    "Y": list(flag.Y),
-                    "U": list(flag.U),
-                    "orthonormalized": normalized,
-                    "K": rep.K,
-                    "XRYY": rep.contractions.XRYY,
-                    "URYY": rep.contractions.URYY,
-                    "RYYY": _ryyy(rep),
-                    "numerator": rep.numerator,
-                    "denominator": rep.denominator,
-                    "oracle_URYY": rep.oracle_URYY,
-                    "sign_mismatch": rep.sign_mismatch,
-                }
-                for idx, (flag, normalized, rep) in results
-            ],
-        })
-    else:
-        for idx, (flag, normalized, rep) in results:
-            if normalized:
-                print(f"notice: flag {idx + 1} was re-orthonormalized", file=sys.stderr)
-            emit_table(
-                [
-                    ("Y", _vec(flag.Y)),
-                    ("U", _vec(flag.U)),
-                    ("K", fmt(rep.K)),
-                    ("XRYY", "n/a" if rep.contractions.XRYY is None
-                     else fmt(rep.contractions.XRYY)),
-                    ("URYY", fmt(rep.contractions.URYY)),
-                    ("RYYY", fmt(_ryyy(rep))),
-                    ("numerator", fmt(rep.numerator)),
-                    ("denominator", fmt(rep.denominator)),
-                    ("convention", rep.convention),
-                    ("method", rep.method),
-                    ("sign_mismatch", str(rep.sign_mismatch)),
-                ],
-                title=f"flag {idx + 1} ({config.name})",
-            )
+        emit_json(doc)
+        return EXIT_OK
+    for flag in doc["flags"]:
+        if flag["orthonormalized"]:
+            print(f"notice: flag {flag['index']} was re-orthonormalized", file=sys.stderr)
+        cells = {**doc, **flag, "XRYY": "n/a" if flag["XRYY"] is None else flag["XRYY"]}
+        emit_table([(k, cells[k]) for k in ("Y", "U", "K", "XRYY", "URYY", "RYYY", "numerator",
+                                            "denominator", "convention", "method", "sign_mismatch")],
+                   title=f"flag {flag['index']} ({config.name})")
     return EXIT_OK
 
 
@@ -246,39 +234,16 @@ def cmd_scan(config: ProblemConfig, args) -> int:
         geom, data, n_samples=opts.samples, seed=opts.seed,
         method=method, convention=convention,
     )
+    doc = {"command": "scan", "name": config.name, "convention": convention, "method": method,
+           **_fields(summary)}
     if args.output == "json":
-        emit_json({
-            "command": "scan",
-            "name": config.name,
-            "convention": convention,
-            "method": method,
-            "n_samples": summary.n_samples,
-            "seed": summary.seed,
-            "min_K": summary.min_K,
-            "max_K": summary.max_K,
-            "mean_K": summary.mean_K,
-            "argmin_index": summary.argmin_index,
-            "argmax_index": summary.argmax_index,
-            "argmin_flag": {"Y": list(summary.argmin_flag.Y),
-                            "U": list(summary.argmin_flag.U)},
-            "argmax_flag": {"Y": list(summary.argmax_flag.Y),
-                            "U": list(summary.argmax_flag.U)},
-        })
+        emit_json(doc)
     else:
-        emit_table(
-            [
-                ("samples", str(summary.n_samples)),
-                ("seed", str(summary.seed)),
-                ("min_K", fmt(summary.min_K)),
-                ("max_K", fmt(summary.max_K)),
-                ("mean_K", fmt(summary.mean_K)),
-                ("argmin Y", _vec(summary.argmin_flag.Y)),
-                ("argmin U", _vec(summary.argmin_flag.U)),
-                ("argmax Y", _vec(summary.argmax_flag.Y)),
-                ("argmax U", _vec(summary.argmax_flag.U)),
-            ],
-            title=f"scan {config.name} ({method}, {convention})",
-        )
+        emit_table([("samples", doc["n_samples"]),
+                    *((k, doc[k]) for k in ("seed", "min_K", "max_K", "mean_K")),
+                    *((f"{end} {v}", doc[f"{end}_flag"][v]) for end in ("argmin", "argmax")
+                      for v in "YU")],
+                   title=f"scan {config.name} ({method}, {convention})")
     return EXIT_OK
 
 
@@ -286,36 +251,26 @@ def cmd_berwald(config: ProblemConfig, args) -> int:
     opts = _options(config, samples=args.samples, seed=args.seed)
     geom, data, _ = _gate(config, args, None)
     rep = berwald_mod.obstruction_report(geom, data.X)
-    sect = None
+    doc = {"command": "berwald", "name": config.name, **_fields(rep)}
     if rep.berwald_admissible and geom.m_dim >= 2:  # else no 2-plane contains X
         sect = berwald_mod.sectional_along_X_sign(
             geom, data.X, n_samples=opts.samples, seed=opts.seed
         )
-    fields = [("in_parallel_space", rep.in_parallel_space), ("ad_skew_ok", rep.ad_skew_ok),
-              ("ad_skew_defect", rep.ad_skew_defect), ("nabla_X_norm", rep.nabla_X_norm),
-              ("berwald_admissible", rep.berwald_admissible)]
+        doc["sectional_along_X"] = {
+            "min_K": sect.min_K, "max_K": sect.max_K, "n_samples": sect.n_samples,
+            "zero_witnesses": [{"u": u.tolist(), "K": k} for u, k in sect.witnesses],
+        }
     if args.output == "json":
-        doc = {"command": "berwald", "name": config.name, "perfect": rep.perfect,
-               "parallel_space": [list(row) for row in rep.parallel_space], **dict(fields)}
-        if sect is not None:
-            doc["sectional_along_X"] = {
-                "min_K": sect.min_K,
-                "max_K": sect.max_K,
-                "n_samples": sect.n_samples,
-                "zero_witnesses": [
-                    {"u": list(u), "K": k} for u, k in sect.witnesses
-                ],
-            }
         emit_json(doc)
-    else:
-        rows = [("perfect", str(rep.perfect)),
-                ("parallel_space_dim", str(rep.parallel_space.shape[0])),
-                *((k, fmt(v) if isinstance(v, float) else str(v)) for k, v in fields)]
-        if sect is not None:
-            rows.append(("sectional min_K", fmt(sect.min_K)))
-            rows.append(("sectional max_K", fmt(sect.max_K)))
-            rows.append(("zero_witnesses", str(len(sect.witnesses))))
-        emit_table(rows, title=f"berwald {config.name}")
+        return EXIT_OK
+    rows = [("perfect", doc["perfect"]), ("parallel_space_dim", len(doc["parallel_space"])),
+            *((k, doc[k]) for k in ("in_parallel_space", "ad_skew_ok", "ad_skew_defect",
+                                    "nabla_X_norm", "berwald_admissible"))]
+    if "sectional_along_X" in doc:
+        along = doc["sectional_along_X"]
+        rows += [("sectional min_K", along["min_K"]), ("sectional max_K", along["max_K"]),
+                 ("zero_witnesses", len(along["zero_witnesses"]))]
+    emit_table(rows, title=f"berwald {config.name}")
     return EXIT_OK
 
 
