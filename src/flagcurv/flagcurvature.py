@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import LieAlgebraSpec
-from .errors import FlagError, InputError, PreconditionError
+from .errors import FlagError, InputError, NumericError, PreconditionError
 from .finsler import FinslerData, validate_finsler
 from .geometry import NOT_AD_H_INVARIANT, HomogeneousGeometry, make_geometry
 from .metrics import Flag, InnerProduct, orthonormalize_flag, require
@@ -164,7 +164,10 @@ class _Kernel:
         <R(U,Y)Y,U>, sign_mismatch, XRYY (zero for a parallel X, not part of
         K) and RYYY, for every method; otherwise None, None, None and 0."""
         geom, N = self.geom, len(Y)
-        URYY = self(Y, U)
+        with np.errstate(all="ignore"):  # an overflow shows as a K that is not finite
+            URYY = self(Y, U)
+            numerator, denominator, K = _assemble(Y @ self.Xg, U @ self.Xg, URYY)
+        _require_finite(K)
         XRYY, RYYY, oracle, mismatch = [None] * N, np.zeros(N), [None] * N, [None] * N
         if all(rep.ok for _, rep in geom.levi_civita()):
             r = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
@@ -172,7 +175,6 @@ class _Kernel:
             tol = np.maximum(1e-9, 1e-9 * np.abs(o))
             XRYY, RYYY = (r @ self.Xg).tolist(), _rowdot(Y @ geom.inner.g, r)
             oracle, mismatch = o.tolist(), (np.abs(URYY - o) > tol).tolist()
-        numerator, denominator, K = _assemble(Y @ self.Xg, U @ self.Xg, URYY)
         return [
             CurvatureReport(K=k, contractions=Contractions(XRYY=x, URYY=u, RYYY=ry),
                             numerator=n, denominator=d, convention=self.convention,
@@ -181,6 +183,12 @@ class _Kernel:
                 XRYY, *(a.tolist() for a in (URYY, RYYY, numerator, denominator, K)),
                 oracle, mismatch)
         ]
+
+
+def _require_finite(K: np.ndarray) -> None:
+    """Refuse (NumericError) a stack of K that holds a value that is not finite."""
+    if not np.isfinite(K).all():
+        raise NumericError("K is not finite: a curvature term overflows")
 
 
 def _closed_URYY(geom: HomogeneousGeometry, YU: np.ndarray, convention: str) -> np.ndarray:
@@ -321,9 +329,11 @@ def scan_flags(
         flag = sample_flag(geom.inner, rng)
         Y[i], U[i] = flag.Y, flag.U
     ks = np.empty(n_samples)
-    for start in range(0, n_samples, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        ks[block] = kernel.K(Y[block], U[block])
+    with np.errstate(all="ignore"):  # an overflow shows as a K that is not finite
+        for start in range(0, n_samples, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            ks[block] = kernel.K(Y[block], U[block])
+    _require_finite(ks)
     min_K, max_K = float(np.min(ks)), float(np.max(ks))
     i_min, i_max = _first_near(ks, min_K), _first_near(ks, max_K)
     return ScanSummary(

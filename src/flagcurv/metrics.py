@@ -5,7 +5,6 @@ orthonormalization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,6 +14,7 @@ from .algebra import TOL_HYPOTHESIS, CheckReport, LieAlgebraSpec
 from .errors import FlagError, InputError, PreconditionError, ValidationError
 
 TOL_DEP = 1e-12
+_TINY, _HUGE = 2.0**-500, 2.0**500  # squared g-lengths whose products stay in range
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,22 +127,33 @@ def orthonormalize_flag(
 
     Classical single pass with one re-orthogonalization of U against Y.  The
     pair is dependent (FlagError) when its Gram determinant is at most tol_dep
-    |y|^2 |u|^2, a test unchanged by scaling g, y or u.
+    |y|^2 |u|^2, a test unchanged by scaling g, y or u.  A squared g-length
+    outside [2^-500, 2^500], where a product of two may leave the float range,
+    is measured on y, u and g scaled by powers of two (exact), so any finite
+    pair of a finite g gets its verdict; other pairs give the bits they gave.
     """
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
     if y.shape != (g.dim,) or u.shape != (g.dim,):
         raise InputError(f"flag vectors must have length {g.dim}")
-    gyy = g.dot(y, y)
-    guu = g.dot(u, u)
-    if not math.isfinite(gyy + guu):  # NaN or inf in y or u, or an overflow
-        raise InputError("flag vectors must be finite, with finite g-lengths")
-    gyu = g.dot(y, u)
+    G, f = g.g, 0
+    with np.errstate(over="ignore", invalid="ignore"):  # such a length is scaled below
+        gyy, guu = float(y @ G @ y), float(u @ G @ u)
+    if not (_TINY <= gyy <= _HUGE and _TINY <= guu <= _HUGE):  # also NaN, inf and 0
+        if not (np.isfinite(y).all() and np.isfinite(u).all()):
+            raise InputError("flag vectors must be finite")
+        y, u = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (y, u))
+        f = np.frexp(np.abs(G).max())[1] // 2  # G 2^(-2f) has its largest entry in [1/2, 2)
+        G = np.ldexp(G, -2 * f)
+        gyy, guu = float(y @ G @ y), float(u @ G @ u)
+    gyu = float(y @ G @ u)
     gram = gyy * guu - gyu * gyu
     if gyy <= 0 or gram <= tol_dep * gyy * guu:
         raise FlagError("flag vectors are (numerically) linearly dependent")
     Y = y / np.sqrt(gyy)
-    w = u - g.dot(Y, u) * Y
-    w = w - g.dot(Y, w) * Y  # re-orthogonalize to kill cancellation
-    U = w / g.norm(w)
+    w = u - float(Y @ G @ u) * Y
+    w = w - float(Y @ G @ w) * Y  # re-orthogonalize to kill cancellation
+    U = w / np.sqrt(max(float(w @ G @ w), 0.0))
+    if f:  # Y and U are unit for G 2^(-2f): g-unit times 2^f
+        Y, U = np.ldexp(Y, -f), np.ldexp(U, -f)
     return Flag(Y=Y, U=U)

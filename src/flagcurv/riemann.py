@@ -135,6 +135,8 @@ def sectional(
 
     u may be an (N, n) stack, giving N values: u -> R(u,x)x is linear, so
     one oracle call on the basis builds it, and one product applies it.
+    x and u are dependent (FlagError) when the denominator is at most
+    TOL_ORACLE |x|^2 |u|^2, a test unchanged by scaling x or u.
     """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     us = np.atleast_2d(u)
@@ -143,7 +145,7 @@ def sectional(
     ug, xx = us @ g.g, g.dot(x, x)
     uu = np.einsum("ij,ij->i", ug, us)
     denom = xx * uu - (ug @ x) ** 2
-    if np.any(denom <= TOL_ORACLE * np.maximum(1.0, xx * uu)):
+    if np.any(denom <= TOL_ORACLE * xx * uu):
         raise FlagError("sectional curvature needs linearly independent vectors")
     jacobi = curvature_oracle(conn, L, np.eye(g.dim), x, x)
     k = np.einsum("ij,ij->i", us @ jacobi, ug) / denom

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -444,6 +445,19 @@ class TestCurvatureCommand:
         assert out.endswith("  sign_mismatch  None\n")
 
 
+@pytest.mark.parametrize("output", ["table", "json"])
+@pytest.mark.parametrize("command, extra", [("curvature", ()), ("scan", ("--samples", "50"))])
+def test_a_k_that_is_not_finite_exits_4(capsys, tmp_path, command, extra, output):
+    # the closed form overflows on a structure constant of 1e308; no warning escapes
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dim": 4, "structure_constants": [[1, 2, 3, 1e308]],
+                                "X": [0, 0, 0, 0.3], "flags": [[[1, 0, 0, 0], [0, 1, 0, 0]]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(capsys, command, str(path), "--force", "--output", output, *extra)
+    assert got == (4, "", "numeric error: K is not finite: a curvature term overflows\n")
+
+
 class TestScanCommand:
     def test_constant_curvature(self, capsys):
         code, out, _ = run(capsys, "scan", str(CONFIGS / "su2.json"),
@@ -502,6 +516,17 @@ class TestBerwaldCommand:
         doc = json.loads(out)
         assert (doc["perfect"], doc["berwald_admissible"]) == (True, False)  # X = 0
         assert "status" not in doc and "sectional_along_X" not in doc
+
+    @pytest.mark.parametrize("t", [1e-8, 1e-6, 1e-4, 0.5])
+    def test_short_central_drift_admissible(self, capsys, tmp_path, t):
+        # the sectional samples' dependence test is relative to |X|
+        doc = json.loads((CONFIGS / "su2_plus_r.json").read_text())
+        doc["X"] = [0.0, 0.0, 0.0, t]
+        path = TestGate.write(tmp_path, doc)
+        code, out, err = run(capsys, "berwald", path, "--output", "json", "--samples", "200")
+        assert (code, err) == (0, "")
+        sect = json.loads(out)["sectional_along_X"]
+        assert sect["min_K"] == sect["max_K"] == 0.0
 
     def test_homogeneous_full_report_table(self, capsys):
         code, out, _ = run(capsys, "berwald", str(CONFIGS / "su2_u1.json"),

@@ -228,6 +228,17 @@ class TestSectional:
         with pytest.raises(FlagError):
             sectional(su2, g, conn, E3[0], 3.0 * E3[0])
 
+    @pytest.mark.parametrize("s", [1e-150, 1e-100, 1e-7, 1.0, 1e7, 1e100, 1e150])
+    def test_the_dependence_test_does_not_depend_on_the_scale(self, su2, s):
+        # K is unchanged by scaling either vector; a dependent pair is refused at any scale
+        g = InnerProduct(np.eye(3))
+        conn = koszul_connection(su2, g)
+        assert sectional(su2, g, conn, s * E3[0], E3[1]) == pytest.approx(0.25)
+        assert sectional(su2, g, conn, E3[0], s * E3[1]) == pytest.approx(0.25)
+        assert sectional(su2, g, conn, E3[0], s * np.eye(3)[1:]) == pytest.approx([0.25, 0.25])
+        with pytest.raises(FlagError):
+            sectional(su2, g, conn, s * E3[0], E3[0])
+
     @pytest.mark.parametrize("x, u", [(E4[0], E3[1]), (E3[0], E4[1]),
                                       (E3[0], np.zeros((2, 2, 3)))])
     def test_vectors_of_the_wrong_length_refused(self, su2, x, u):
