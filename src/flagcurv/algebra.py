@@ -136,13 +136,13 @@ def derived_subalgebra(L: LieAlgebraSpec) -> np.ndarray:
 
 def _bracket_span(c: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the span of the rows c[i, j] of an
-    (m, m, m) tensor, via SVD rank reveal."""
+    (m, m, m) tensor, via SVD rank reveal relative to the largest singular value."""
     m = c.shape[-1]
     rows = c.reshape(m * m, m)
     if not np.any(rows):
         return np.zeros((0, m))
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > TOL_RANK * max(1.0, s[0])))
+    rank = int(np.sum(s > TOL_RANK * s[0]))
     return vt[:rank]
 
 

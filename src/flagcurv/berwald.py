@@ -49,9 +49,10 @@ def is_perfect(L: LieAlgebraSpec) -> bool:
 
 
 def _null_rows(A: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the null space of x -> A @ x."""
+    """Orthonormal rows spanning the null space of x -> A @ x; a singular
+    value counts when above TOL_RANK of the largest, so scaling A keeps it."""
     _, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > TOL_RANK * np.max(s, initial=1.0)))
+    rank = int(np.sum(s > TOL_RANK * np.max(s, initial=0.0)))
     return vt[rank:]
 
 

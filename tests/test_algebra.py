@@ -247,6 +247,13 @@ def test_derived_subalgebra_heisenberg(heisenberg):
     assert np.allclose(np.abs(basis[0]), E3[2])
 
 
+@pytest.mark.parametrize("t", [1e-12, 1e-6, 1.0, 1e12])
+def test_derived_subalgebra_does_not_depend_on_the_scale(t):
+    # the rank is read relative to the largest singular value
+    assert derived_subalgebra(LieAlgebraSpec(3, t * su2_tensor())).shape[0] == 3
+    assert derived_subalgebra(LieAlgebraSpec(3, t * heisenberg_tensor())).shape[0] == 1
+
+
 def test_derived_subalgebra_abelian(abelian3):
     assert derived_subalgebra(abelian3).shape[0] == 0
 

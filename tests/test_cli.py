@@ -548,6 +548,14 @@ class TestBerwaldCommand:
                                      [1, 5, 6, 1.0], [5, 6, 1, 1.0], [6, 1, 5, 1.0]],
              "flags": [[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]]}
 
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 0.5])
+    def test_zero_witnesses_do_not_depend_on_the_drift_scale(self, capsys, tmp_path, t):
+        # [X, m]_m has rank 2 for X = t r at every t: two witnesses span its complement
+        path = TestGate.write(tmp_path, {**self.E2_S2, "X": [t, 0.0, 0.0, 0.0, 0.0]})
+        code, out, _ = run(capsys, "berwald", path, "--output", "json", "--samples", "50")
+        assert code == 0
+        assert len(json.loads(out)["sectional_along_X"]["zero_witnesses"]) == 2
+
     def test_e2_times_s2_rotation_admissible(self, capsys, tmp_path):
         # X = r/2 is parallel for g0 = I, though r is not central in g
         path = TestGate.write(tmp_path, self.E2_S2)
