@@ -101,14 +101,11 @@ def emit_json(doc: dict) -> None:
     print("".join(out))
 
 
-def _vec(v: list) -> str:
-    return "[" + ", ".join(fmt(float(x)) for x in v) + "]"
-
-
 def _cell(value) -> str:
-    """A table cell: a vector by _vec, a real by fmt, a bool, int, None or str by str."""
+    """A table cell: a vector and a real by fmt, entry by entry; a bool, int,
+    None or str by str."""
     if isinstance(value, list):
-        return _vec(value)
+        return "[" + ", ".join(map(fmt, value)) + "]"
     return fmt(value) if isinstance(value, float) else str(value)
 
 

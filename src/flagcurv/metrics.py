@@ -138,21 +138,24 @@ def orthonormalize_flag(
         raise InputError(f"flag vectors must have length {g.dim}")
     G, f = g.g, 0
     with np.errstate(over="ignore", invalid="ignore"):  # such a length is scaled below
-        gyy, guu = float(y @ G @ y), float(u @ G @ u)
+        yG, uG = y @ G, u @ G
+        gyy, guu = float(yG @ y), float(uG @ u)
     if not (_TINY <= gyy <= _HUGE and _TINY <= guu <= _HUGE):  # also NaN, inf and 0
         if not (np.isfinite(y).all() and np.isfinite(u).all()):
             raise InputError("flag vectors must be finite")
         y, u = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (y, u))
         f = np.frexp(np.abs(G).max())[1] // 2  # G 2^(-2f) has its largest entry in [1/2, 2)
         G = np.ldexp(G, -2 * f)
-        gyy, guu = float(y @ G @ y), float(u @ G @ u)
-    gyu = float(y @ G @ u)
+        yG, uG = y @ G, u @ G
+        gyy, guu = float(yG @ y), float(uG @ u)
+    gyu = float(yG @ u)
     gram = gyy * guu - gyu * gyu
     if gyy <= 0 or gram <= tol_dep * gyy * guu:
         raise FlagError("flag vectors are (numerically) linearly dependent")
     Y = y / np.sqrt(gyy)
-    w = u - float(Y @ G @ u) * Y
-    w = w - float(Y @ G @ w) * Y  # re-orthogonalize to kill cancellation
+    YG = Y @ G  # Y @ G @ v computes (Y @ G) @ v: one product serves both v
+    w = u - float(YG @ u) * Y
+    w = w - float(YG @ w) * Y  # re-orthogonalize to kill cancellation
     U = w / np.sqrt(max(float(w @ G @ w), 0.0))
     if f:  # Y and U are unit for G 2^(-2f): g-unit times 2^f
         Y, U = np.ldexp(Y, -f), np.ldexp(U, -f)
