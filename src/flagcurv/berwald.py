@@ -20,7 +20,7 @@ from .algebra import TOL_HYPOTHESIS, TOL_RANK, LieAlgebraSpec, _bracket_span, de
 from .errors import FlagError, InputError
 from .flagcurvature import _check_draws
 from .geometry import HomogeneousGeometry
-from .metrics import CheckReport, InnerProduct, _h_dim_of, _skew_check, require
+from .metrics import CheckReport, InnerProduct, _h_dim_of, _scaled_rows, _skew_check, require
 from .riemann import sectional
 
 
@@ -59,16 +59,11 @@ def _null_rows(A: np.ndarray) -> np.ndarray:
 def _unit_orthogonal(g: InnerProduct, Xu: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The rows of v made g-orthogonal to the g-unit Xu and g-unit, dropping
     rows whose largest entry the projection leaves at most 1e-10 of what it
-    was.  Each g-length is measured on its row and g scaled by powers of two,
-    so no square overflows, and the lengths of moderate rows are unchanged."""
+    was.  Each g-length is read by _scaled_rows, so no square overflows."""
     w = v - np.outer(v @ (Xu @ g.g), Xu)
-    size = np.abs(w).max(axis=1, initial=0.0)
-    e, f = np.frexp(size)[1], np.frexp(np.abs(g.g).max())[1] // 2
-    ws = np.ldexp(w, -e[:, None])
-    nv = np.ldexp(np.sqrt(np.maximum(np.einsum("ij,ij->i", ws @ np.ldexp(g.g, -2 * f), ws),
-                                     0.0)), e + f)
-    keep = (size > 1e-10 * np.abs(v).max(axis=1, initial=0.0)) & (nv > 0)
-    return w[keep] / nv[keep, None]
+    ws, q = _scaled_rows(g.g, w)
+    keep = np.abs(w).max(axis=1, initial=0.0) > 1e-10 * np.abs(v).max(axis=1, initial=0.0)
+    return ws[keep] / np.sqrt(q[keep, None])
 
 
 def _drift(geom: HomogeneousGeometry, X: np.ndarray) -> np.ndarray:

@@ -104,10 +104,8 @@ def _as_matrix(raw, rows: int, cols: int, name: str) -> tuple:
 
 def config_from_dict(doc: dict) -> ProblemConfig:
     _require(isinstance(doc, dict), "config document must be a JSON object")
-    known = {"name", "dim", "h_dim", "structure_constants", "g0", "phi", "X",
-             "flags", "options"}
     for key in doc:
-        _require(key in known, "unknown config field {!r}", key)
+        _require(key in ProblemConfig.__dataclass_fields__, "unknown config field {!r}", key)
 
     name = doc.get("name", "unnamed")
     _require(isinstance(name, str), "name must be a string")
@@ -177,9 +175,8 @@ def config_from_dict(doc: dict) -> ProblemConfig:
 
     raw_opts = doc.get("options", {})
     _require(isinstance(raw_opts, dict), "options must be an object")
-    opt_known = {"sign_convention", "method", "seed", "samples"}
     for key in raw_opts:
-        _require(key in opt_known, "unknown option {!r}", key)
+        _require(key in RunOptions.__dataclass_fields__, "unknown option {!r}", key)
 
     return ProblemConfig(
         name=name,

@@ -167,7 +167,7 @@ class _Kernel:
         with np.errstate(all="ignore"):  # an overflow shows as a K that is not finite
             URYY = self(Y, U)
             numerator, denominator, K = _assemble(Y @ self.Xg, U @ self.Xg, URYY)
-        _require_finite(K)
+        _refuse_nonfinite_K(K)
         XRYY, RYYY, oracle, mismatch = [None] * N, np.zeros(N), [None] * N, [None] * N
         if all(rep.ok for _, rep in geom.levi_civita()):
             r = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
@@ -185,7 +185,7 @@ class _Kernel:
         ]
 
 
-def _require_finite(K: np.ndarray) -> None:
+def _refuse_nonfinite_K(K: np.ndarray) -> None:
     """Refuse (NumericError) a stack of K that holds a value that is not finite."""
     if not np.isfinite(K).all():
         raise NumericError("K is not finite: a curvature term overflows")
@@ -333,7 +333,7 @@ def scan_flags(
         for start in range(0, n_samples, _BLOCK):
             block = slice(start, start + _BLOCK)
             ks[block] = kernel.K(Y[block], U[block])
-    _require_finite(ks)
+    _refuse_nonfinite_K(ks)
     min_K, max_K = float(np.min(ks)), float(np.max(ks))
     i_min, i_max = _first_near(ks, min_K), _first_near(ks, max_K)
     return ScanSummary(

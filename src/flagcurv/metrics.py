@@ -14,7 +14,8 @@ from .algebra import TOL_HYPOTHESIS, CheckReport, LieAlgebraSpec
 from .errors import FlagError, InputError, PreconditionError, ValidationError
 
 TOL_DEP = 1e-12
-_TINY, _HUGE = 2.0**-500, 2.0**500  # squared g-lengths whose products stay in range
+_TINY, _HUGE = 2.0**-500, 2.0**500  # |y|^2 |u|^2 read without rescaling
+_SUBNORMAL = 2.0**-1000  # a squared length below it may have lost bits to underflow
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +121,19 @@ def check_naturally_reductive(L: LieAlgebraSpec, g: InnerProduct) -> CheckReport
     return _skew_check(L.c[h:, h:, h:], g.g)
 
 
+def _scaled_rows(G: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of V times powers of two (exact) that bring their squared
+    G-lengths into [1/2, 2), and those lengths; a zero row stays zero.  Each
+    row is first brought to a largest entry in [1/2, 1), then, if its length
+    still overflows, by 1/sqrt(max |G|); G is not scaled, so no entry is lost."""
+    V = np.ldexp(V, -np.frexp(np.abs(V).max(axis=1, initial=0.0))[1][:, None])
+    with np.errstate(over="ignore", invalid="ignore"):  # such a row is scaled down next
+        q = np.einsum("ij,ij->i", V @ G, V)
+    V = np.ldexp(V, -np.where(np.isfinite(q), 0, np.frexp(np.abs(G).max())[1] // 2)[:, None])
+    V = np.ldexp(V, -(np.frexp(np.einsum("ij,ij->i", V @ G, V))[1] // 2)[:, None])
+    return V, np.einsum("ij,ij->i", V @ G, V)
+
+
 def orthonormalize_flag(
     g: InnerProduct, y: np.ndarray, u: np.ndarray, tol_dep: float = TOL_DEP
 ) -> Flag:
@@ -127,27 +141,24 @@ def orthonormalize_flag(
 
     Classical single pass with one re-orthogonalization of U against Y.  The
     pair is dependent (FlagError) when its Gram determinant is at most tol_dep
-    |y|^2 |u|^2, a test unchanged by scaling g, y or u.  A squared g-length
-    outside [2^-500, 2^500], where a product of two may leave the float range,
-    is measured on y, u and g scaled by powers of two (exact), so any finite
-    pair of a finite g gets its verdict; other pairs give the bits they gave.
+    |y|^2 |u|^2, a test unchanged by scaling g, y or u.  A pair with |y|^2
+    |u|^2 outside [2^-500, 2^500], or a squared length below 2^-1000, is read
+    on y and u brought to g-length near 1 by _scaled_rows: every finite pair
+    of a finite g gets its verdict, and other pairs the bits they gave.
     """
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
     if y.shape != (g.dim,) or u.shape != (g.dim,):
         raise InputError(f"flag vectors must have length {g.dim}")
-    G, f = g.g, 0
-    with np.errstate(over="ignore", invalid="ignore"):  # such a length is scaled below
+    G = g.g
+    with np.errstate(over="ignore", invalid="ignore"):  # such a pair is rescaled below
         yG, uG = y @ G, u @ G
         gyy, guu = float(yG @ y), float(uG @ u)
-    if not (_TINY <= gyy <= _HUGE and _TINY <= guu <= _HUGE):  # also NaN, inf and 0
+    if not (gyy > _SUBNORMAL and guu > _SUBNORMAL and _TINY <= gyy * guu <= _HUGE):  # also NaN
         if not (np.isfinite(y).all() and np.isfinite(u).all()):
             raise InputError("flag vectors must be finite")
-        y, u = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (y, u))
-        f = np.frexp(np.abs(G).max())[1] // 2  # G 2^(-2f) has its largest entry in [1/2, 2)
-        G = np.ldexp(G, -2 * f)
+        (y, u), (gyy, guu) = _scaled_rows(G, np.stack((y, u)))
         yG, uG = y @ G, u @ G
-        gyy, guu = float(yG @ y), float(uG @ u)
     gyu = float(yG @ u)
     gram = gyy * guu - gyu * gyu
     if gyy <= 0 or gram <= tol_dep * gyy * guu:
@@ -157,6 +168,4 @@ def orthonormalize_flag(
     w = u - float(YG @ u) * Y
     w = w - float(YG @ w) * Y  # re-orthogonalize to kill cancellation
     U = w / np.sqrt(max(float(w @ G @ w), 0.0))
-    if f:  # Y and U are unit for G 2^(-2f): g-unit times 2^f
-        Y, U = np.ldexp(Y, -f), np.ldexp(U, -f)
     return Flag(Y=Y, U=U)

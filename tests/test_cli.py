@@ -713,6 +713,18 @@ def test_berwald_samples_a_parallel_drift_at_extreme_metric_scales(capsys, tmp_p
     assert (sect["min_K"], sect["max_K"], sect["n_samples"]) == (0.0, 0.0, 50)
 
 
+def test_berwald_witnesses_of_a_metric_of_wide_range(capsys, tmp_path):
+    # R^3 with phi = diag(1e-200, 1e200, 1) and X = e3/2: e1 and e2 are both
+    # witnesses, though G's entries along them are 1e400 apart
+    path = TestGate.write(tmp_path, {"dim": 3, "structure_constants": [], "X": [0.0, 0.0, 0.5],
+                                     "phi": [[1e-200, 0, 0], [0, 1e200, 0], [0, 0, 1.0]]})
+    code, out, err = run(capsys, "berwald", path, "--samples", "20", "--output", "json")
+    assert (code, err) == (0, "")
+    got = [w["u"] for w in json.loads(out)["sectional_along_X"]["zero_witnesses"]]
+    assert np.allclose(sorted(np.abs(got), key=np.argmax), [[1e100, 0, 0], [0, 1e-100, 0]],
+                       rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("doc, K", [
     pytest.param({"dim": 2, "structure_constants": [], "phi": [[1e-13, 0.0], [0.0, 1.0]],
                   "flags": [[[1.0, 0.0], [0.0, 1.0]]]}, 0.0, id="R2-phi=diag(1e-13,1)"),
@@ -1023,30 +1035,29 @@ class TestGoldenOutput:
         assert got[:2] == (0, (GOLDEN / f"{command}_{name}.json").read_text())
 
     def test_default_curvature_table(self, capsys):
-        # input_s2_r_coupled has no Levi-Civita connection: XRYY prints n/a
-        # and sign_mismatch None
-        for path, extra in [(CONFIGS / "su2_plus_r.json", ()), (CONFIGS / "su2.json", ()),
-                            (CONFIGS / "su2_u1.json", ()), (CONFIGS / "abelian_r3.json", ()),
-                            (CONFIGS / "heisenberg.json", ("--force",)),
-                            (GOLDEN / "input_s2_r_coupled.json", ("--force",))]:
-            got = replay(capsys, "curvature", str(path), *extra)
-            name = path.stem.removeprefix("input_")
-            assert got[:2] == (0, (GOLDEN / f"curvature_{name}.txt").read_text()), name
+        got = replay(capsys, "curvature", str(CONFIGS / "su2_plus_r.json"))
+        assert got[:2] == (0, (GOLDEN / "curvature_su2_plus_r.txt").read_text())
 
-    @pytest.mark.parametrize("command, name, extra, code", [
-        pytest.param("validate", "su2_plus_r", (), 0, id="validate"),
-        pytest.param("scan", "su2_plus_r", (), 0, id="scan"),
-        pytest.param("berwald", "su2_plus_r", (), 0, id="berwald"),
-        *(pytest.param("validate", name, (), code, id=f"validate-{name}")
+    # input_s2_r_coupled has no Levi-Civita connection: XRYY prints n/a and
+    # sign_mismatch None
+    @pytest.mark.parametrize("command, path, extra, code", [
+        pytest.param("validate", CONFIGS / "su2_plus_r.json", (), 0, id="validate"),
+        pytest.param("scan", CONFIGS / "su2_plus_r.json", (), 0, id="scan"),
+        pytest.param("berwald", CONFIGS / "su2_plus_r.json", (), 0, id="berwald"),
+        *(pytest.param("validate", CONFIGS / f"{name}.json", (), code, id=f"validate-{name}")
           for name, code in [("abelian_r3", 0), ("heisenberg", 2), ("su2", 0), ("su2_u1", 0)]),
-        *(pytest.param("scan", name, (), 0, id=f"scan-{name}")
-          for name in ["su2", "su2_u1", "abelian_r3"]),
-        pytest.param("scan", "heisenberg", ("--force",), 0, id="scan-heisenberg"),
-        *(pytest.param("berwald", name, (), 0, id=f"berwald-{name}")
+        *(pytest.param(command, CONFIGS / f"{name}.json", (), 0, id=f"{command}-{name}")
+          for command in ["curvature", "scan"] for name in ["su2", "su2_u1", "abelian_r3"]),
+        *(pytest.param(command, CONFIGS / "heisenberg.json", ("--force",), 0,
+                       id=f"{command}-heisenberg") for command in ["curvature", "scan"]),
+        pytest.param("curvature", GOLDEN / "input_s2_r_coupled.json", ("--force",), 0,
+                     id="curvature-s2_r_coupled"),
+        *(pytest.param("berwald", CONFIGS / f"{name}.json", (), 0, id=f"berwald-{name}")
           for name in ["heisenberg", "su2_u1"]),
     ])
-    def test_default_table(self, capsys, command, name, extra, code):
-        got = replay(capsys, command, str(CONFIGS / f"{name}.json"), *extra)
+    def test_default_table(self, capsys, command, path, extra, code):
+        got = replay(capsys, command, str(path), *extra)
+        name = path.stem.removeprefix("input_")
         assert got[:2] == (code, (GOLDEN / f"{command}_{name}.txt").read_text())
 
     @pytest.mark.parametrize("name", ["su2_plus_r", "heisenberg", "su2_u1"])

@@ -211,6 +211,19 @@ def test_orthogonal_pairs_at_extreme_scales_are_independent(s):
         orthonormalize_flag(InnerProduct(e), s * e[0], 3 * s * e[0])
 
 
+@pytest.mark.parametrize("t", [1e160, 1e200])
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1e-100, 1e100), (1e-150, 1e-150), (1e150, 1e150)])
+def test_pairs_of_a_metric_of_wide_range_are_independent(t, a, b):
+    # g = diag(t, 1/t, 1): |e2|^2 |e1|^2 = 1 is read as it is; the other pairs'
+    # product leaves the float range at t = 1e200, and they are rescaled
+    e, g = np.eye(3), InnerProduct(np.diag([t, 1 / t, 1.0]))
+    flag = orthonormalize_flag(g, a * e[1], b * e[0])
+    assert np.allclose(flag.Y, np.sqrt(t) * e[1], rtol=1e-15, atol=0)
+    assert np.allclose(flag.U, e[0] / np.sqrt(t), rtol=1e-15, atol=0)
+    with pytest.raises(FlagError, match="linearly dependent"):
+        orthonormalize_flag(g, a * e[1], 3 * a * e[1])
+
+
 def test_g0_must_be_symmetric():
     with pytest.raises(ValidationError):
         make_geometry(abelian(2), g0=np.array([[1.0, 0.1], [0.0, 1.0]]))
