@@ -134,15 +134,19 @@ def derived_subalgebra(L: LieAlgebraSpec) -> np.ndarray:
     return _bracket_span(L.c)
 
 
+def _svd_rank(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """(vt, rank) of an SVD of A, the rank relative to the largest singular
+    value (above TOL_RANK of it): vt[:rank] spans A's rows, vt[rank:] its null
+    space.  vt is square, from the reduced SVD when A is tall."""
+    _, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] <= A.shape[1])
+    return vt, int(np.sum(s > TOL_RANK * np.max(s, initial=0.0)))
+
+
 def _bracket_span(c: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the span of the rows c[i, j] of an
-    (m, m, m) tensor, via SVD rank reveal relative to the largest singular value."""
+    (m, m, m) tensor."""
     m = c.shape[-1]
-    rows = c.reshape(m * m, m)
-    if not np.any(rows):
-        return np.zeros((0, m))
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > TOL_RANK * s[0]))
+    vt, rank = _svd_rank(c.reshape(m * m, m))
     return vt[:rank]
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TOL_HYPOTHESIS, TOL_RANK, LieAlgebraSpec, _bracket_span, derived_subalgebra
+from .algebra import TOL_HYPOTHESIS, LieAlgebraSpec, _bracket_span, _svd_rank, derived_subalgebra
 from .errors import FlagError, InputError
-from .flagcurvature import _check_draws
+from .flagcurvature import _draws
 from .geometry import HomogeneousGeometry
 from .metrics import CheckReport, InnerProduct, _h_dim_of, _scaled_rows, _skew_check, require
 from .riemann import sectional
@@ -46,14 +46,6 @@ class ObstructionReport:
 def is_perfect(L: LieAlgebraSpec) -> bool:
     """True iff [g, g] = g (full-rank derived subalgebra)."""
     return derived_subalgebra(L).shape[0] == L.dim
-
-
-def _null_rows(A: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the null space of x -> A @ x; a singular
-    value counts when above TOL_RANK of the largest, so scaling A keeps it."""
-    _, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > TOL_RANK * np.max(s, initial=0.0)))
-    return vt[rank:]
 
 
 def _unit_orthogonal(g: InnerProduct, Xu: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -95,7 +87,8 @@ def parallel_obstruction_space(L: LieAlgebraSpec, g: InnerProduct) -> np.ndarray
 def _orthogonal_complement(derived: np.ndarray, g: InnerProduct) -> np.ndarray:
     """g-orthonormal basis (rows) of the g-orthogonal complement of derived."""
     # null space of the map x -> (g(x, d_i))_i over the rows d_i
-    candidates = _null_rows(derived @ g.g)
+    vt, rank = _svd_rank(derived @ g.g)
+    candidates = vt[rank:]
     # g-orthonormalize the spanning set (small: eigendecompose the Gram matrix)
     gram = candidates @ g.g @ candidates.T
     w, v = np.linalg.eigh(gram)
@@ -147,17 +140,16 @@ def sectional_along_X_sign(
     L, g, X, h = geom.algebra, geom.inner, _drift(geom, X), geom.h_dim
     if geom.m_dim < 2:
         raise FlagError("flags need m_dim >= 2")
-    _check_draws(n_samples, seed)
-    try:  # one row of m normals per sample, drawn as a per-sample loop would
-        draws = np.random.default_rng(seed).standard_normal((n_samples, geom.m_dim))
-    except (ValueError, OverflowError, MemoryError):  # beyond numpy's sizes, or malloc's
-        raise InputError(f"n_samples = {n_samples} is too large to allocate") from None
+    # one row of m normals per sample, drawn as a per-sample loop would
+    draws = _draws(n_samples, seed,
+                   lambda: np.random.default_rng(seed).standard_normal((n_samples, geom.m_dim)))
     if g.norm(X) == 0.0:
         raise InputError("X must be nonzero")
     Xu = X / g.norm(X)
     u = _unit_orthogonal(g, Xu, draws)
     # witnesses orthogonal to the image [X, m]_m: K must vanish there
-    w = _unit_orthogonal(g, Xu, _null_rows(_ad_m(L, h, X) @ g.g))  # rows [X, e_j]_m
+    vt, rank = _svd_rank(_ad_m(L, h, X) @ g.g)  # rows [X, e_j]_m
+    w = _unit_orthogonal(g, Xu, vt[rank:])
     ks, kw = np.split(sectional(L, g, geom.connection, X, np.vstack([u, w])), [len(u)])
     return SectionalSignReport(
         min_K=float(ks.min()),

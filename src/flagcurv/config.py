@@ -89,17 +89,19 @@ def _all_real(xs) -> bool:
     return all(map(_is_real, xs))
 
 
+def _as_vector(raw, n: int, what: str, length: str) -> tuple:
+    """raw as a tuple of floats, once it is a JSON list of n finite numbers; else
+    refused (InputError) in words naming what (and length, if not n long)."""
+    _require(isinstance(raw, list) and len(raw) == n, "{} {}", what, length)
+    _require(_all_real(raw), "{} has an entry that is not a finite number", what)
+    return tuple(map(float, raw))
+
+
 def _as_matrix(raw, rows: int, cols: int, name: str) -> tuple:
     _require(isinstance(raw, list) and len(raw) == rows,
              "{} must be a {}x{} matrix", name, rows, cols)
-    out = []
-    for i, row in enumerate(raw):
-        _require(isinstance(row, list) and len(row) == cols,
-                 "{} row {} must have {} entries", name, i + 1, cols)
-        _require(_all_real(row),
-                 "{} row {} has an entry that is not a finite number", name, i + 1)
-        out.append(tuple(map(float, row)))
-    return tuple(out)
+    return tuple(_as_vector(row, cols, f"{name} row {i}", f"must have {cols} entries")
+                 for i, row in enumerate(raw, 1))
 
 
 def config_from_dict(doc: dict) -> ProblemConfig:
@@ -149,29 +151,17 @@ def config_from_dict(doc: dict) -> ProblemConfig:
     g0 = _as_matrix(doc["g0"], dim, dim, "g0") if "g0" in doc else None
     phi = _as_matrix(doc["phi"], m_dim, m_dim, "phi") if "phi" in doc else None
 
-    X = None
-    if "X" in doc:
-        raw_x = doc["X"]
-        _require(isinstance(raw_x, list) and len(raw_x) == m_dim,
-                 "X must be a vector of length m_dim = {}", m_dim)
-        _require(_all_real(raw_x), "X has an entry that is not a finite number")
-        X = tuple(map(float, raw_x))
+    X = (_as_vector(doc["X"], m_dim, "X", f"must be a vector of length m_dim = {m_dim}")
+         if "X" in doc else None)
 
     raw_flags = doc.get("flags", [])
     _require(isinstance(raw_flags, list), "flags must be a list")
     flags = []
-    for pos, pair in enumerate(raw_flags):
-        _require(isinstance(pair, list) and len(pair) == 2,
-                 "flag {} must be a pair [Y, U]", pos + 1)
-        vecs = []
-        for which, raw_v in zip(("Y", "U"), pair):
-            _require(isinstance(raw_v, list) and len(raw_v) == m_dim,
-                     "flag {} {} must have length m_dim = {}", pos + 1, which, m_dim)
-            _require(_all_real(raw_v),
-                     "flag {} {} has an entry that is not a finite number",
-                     pos + 1, which)
-            vecs.append(tuple(map(float, raw_v)))
-        flags.append((vecs[0], vecs[1]))
+    for pos, pair in enumerate(raw_flags, 1):
+        _require(isinstance(pair, list) and len(pair) == 2, "flag {} must be a pair [Y, U]", pos)
+        flags.append(tuple(_as_vector(raw_v, m_dim, f"flag {pos} {which}",
+                                      f"must have length m_dim = {m_dim}")
+                           for which, raw_v in zip("YU", pair)))
 
     raw_opts = doc.get("options", {})
     _require(isinstance(raw_opts, dict), "options must be an object")

@@ -154,27 +154,36 @@ class _Kernel:
             return _closed_URYY(geom, YU, self.convention)
         return _rowdot(U @ geom.inner.g, _nat_reductive_RUYY(geom.algebra, YU[:N], YU[N:], h))
 
+    def terms(self, Y: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(<R(U,Y)Y,U>, numerator, denominator, K) of a stack of flags as
+        __call__ takes them; a K that is not finite is refused (NumericError)."""
+        with np.errstate(all="ignore"):  # an overflow shows as a K that is not finite
+            URYY = self(Y, U)
+            numerator, denominator, K = _assemble(Y @ self.Xg, U @ self.Xg, URYY)
+        if not np.isfinite(K).all():
+            raise NumericError("K is not finite: a curvature term overflows")
+        return URYY, numerator, denominator, K
+
     def K(self, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
-        return _assemble(Y @ self.Xg, U @ self.Xg, self(Y, U))[2]
+        return self.terms(Y, U)[3]
 
     def reports(self, Y: np.ndarray, U: np.ndarray) -> list[CurvatureReport]:
         """One CurvatureReport per row of two (N, m) stacks of g-orthonormal
         flags.  On an ad(h)-invariant metric one stacked curvature_oracle call
         on the Levi-Civita connection gives r = R(U,Y)Y, whence the oracle
-        <R(U,Y)Y,U>, sign_mismatch, XRYY (zero for a parallel X, not part of
-        K) and RYYY, for every method; otherwise None, None, None and 0."""
+        <R(U,Y)Y,U>, sign_mismatch (None where the oracle is not finite), XRYY
+        (zero for a parallel X, not part of K) and RYYY, for every method;
+        otherwise None, None, None and 0."""
         geom, N = self.geom, len(Y)
-        with np.errstate(all="ignore"):  # an overflow shows as a K that is not finite
-            URYY = self(Y, U)
-            numerator, denominator, K = _assemble(Y @ self.Xg, U @ self.Xg, URYY)
-        _refuse_nonfinite_K(K)
+        URYY, numerator, denominator, K = self.terms(Y, U)
         XRYY, RYYY, oracle, mismatch = [None] * N, np.zeros(N), [None] * N, [None] * N
         if all(rep.ok for _, rep in geom.levi_civita()):
-            r = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
-            o = _rowdot(r @ geom.inner.g, U)
-            tol = np.maximum(1e-9, 1e-9 * np.abs(o))
-            XRYY, RYYY = (r @ self.Xg).tolist(), _rowdot(Y @ geom.inner.g, r)
-            oracle, mismatch = o.tolist(), (np.abs(URYY - o) > tol).tolist()
+            with np.errstate(all="ignore"):  # an overflow shows as an oracle that is not finite
+                r = curvature_oracle(geom.connection, geom.algebra, U, Y, Y)
+                o = _rowdot(r @ geom.inner.g, U)
+                XRYY, RYYY = (r @ self.Xg).tolist(), _rowdot(Y @ geom.inner.g, r)
+            mismatch = np.abs(URYY - o) > np.maximum(1e-9, 1e-9 * np.abs(o))
+            oracle, mismatch = o.tolist(), np.where(np.isfinite(o), mismatch, None).tolist()
         return [
             CurvatureReport(K=k, contractions=Contractions(XRYY=x, URYY=u, RYYY=ry),
                             numerator=n, denominator=d, convention=self.convention,
@@ -183,12 +192,6 @@ class _Kernel:
                 XRYY, *(a.tolist() for a in (URYY, RYYY, numerator, denominator, K)),
                 oracle, mismatch)
         ]
-
-
-def _refuse_nonfinite_K(K: np.ndarray) -> None:
-    """Refuse (NumericError) a stack of K that holds a value that is not finite."""
-    if not np.isfinite(K).all():
-        raise NumericError("K is not finite: a curvature term overflows")
 
 
 def _closed_URYY(geom: HomogeneousGeometry, YU: np.ndarray, convention: str) -> np.ndarray:
@@ -294,13 +297,18 @@ def sample_flag(g: InnerProduct, rng: np.random.Generator) -> Flag:
             continue  # resample; deterministic given the generator state
 
 
-def _check_draws(n_samples: int, seed: int) -> None:
-    """Refuse (InputError) an n_samples that is not a positive integer or a
-    seed that is not a non-negative one; numpy integers count, bools do not."""
+def _draws(n_samples: int, seed: int, allocate):
+    """allocate(), the arrays of n_samples draws, once n_samples is checked a
+    positive integer and seed a non-negative one (numpy integers count, bools
+    do not); InputError if either is not, or if allocate cannot have its memory."""
     for value, low, words in ((n_samples, 1, "n_samples must be a positive integer"),
                               (seed, 0, "seed must be a non-negative integer")):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
             raise InputError(words)
+    try:  # a size numpy cannot describe, or one that malloc refuses
+        return allocate()
+    except (ValueError, OverflowError, MemoryError):
+        raise InputError(f"n_samples = {n_samples} is too large to allocate") from None
 
 
 def scan_flags(
@@ -318,22 +326,16 @@ def scan_flags(
     evaluated on blocks of _BLOCK rows.  Among flags whose K ties with the
     extreme (within 1e-12 max(1, |K|)), the first is the witness.
     """
-    _check_draws(n_samples, seed)
-    try:  # a size numpy cannot describe, or one that malloc refuses
-        Y, U = np.empty((2, n_samples, geom.m_dim))
-    except (ValueError, OverflowError, MemoryError):
-        raise InputError(f"n_samples = {n_samples} is too large to allocate") from None
+    Y, U = _draws(n_samples, seed, lambda: np.empty((2, n_samples, geom.m_dim)))
     kernel = _Kernel(geom, d, method, convention)
     rng = np.random.default_rng(seed)
     for i in range(n_samples):
         flag = sample_flag(geom.inner, rng)
         Y[i], U[i] = flag.Y, flag.U
     ks = np.empty(n_samples)
-    with np.errstate(all="ignore"):  # an overflow shows as a K that is not finite
-        for start in range(0, n_samples, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            ks[block] = kernel.K(Y[block], U[block])
-    _refuse_nonfinite_K(ks)
+    for start in range(0, n_samples, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        ks[block] = kernel.K(Y[block], U[block])
     min_K, max_K = float(np.min(ks)), float(np.max(ks))
     i_min, i_max = _first_near(ks, min_K), _first_near(ks, max_K)
     return ScanSummary(

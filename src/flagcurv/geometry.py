@@ -69,9 +69,7 @@ class HomogeneousGeometry:
             raise InputError("g0 must be finite")
         if not np.array_equal(g0, g0.T):
             raise ValidationError("g0 is not symmetric")
-        eig_min = float(np.linalg.eigvalsh(g0)[0])
-        if eig_min <= 0:
-            raise ValidationError(f"g0 is not positive-definite (min eigenvalue {eig_min:g})")
+        g0 = _spd(g0, "g0 is not symmetric", "g0 is not positive-definite")
         phi = np.array(self.phi, dtype=float)
         if phi.shape != (m, m):
             raise InputError(f"phi must be {m}x{m} (metric on m), got {phi.shape}")
@@ -83,7 +81,7 @@ class HomogeneousGeometry:
                                             "phi is not positive-definite w.r.t. g0"))
         phi_full = np.eye(n)
         phi_full[h:, h:] = phi
-        for arr in (g0, phi, phi_full):
+        for arr in (phi, phi_full):
             arr.setflags(write=False)
         for name, value in (*zip(("reductive_subalgebra", "reductive_ad_invariance"), split),
                             ("g0", g0), ("phi", phi), ("phi_full", phi_full), ("inner", inner)):

@@ -22,9 +22,9 @@ import numpy as np
 
 from .algebra import LieAlgebraSpec, check_reductive, reductive_split
 from .errors import FlagError, InputError
-from .metrics import InnerProduct, _h_dim_of, check_naturally_reductive, require
+from .metrics import (TOL_DEP, InnerProduct, _h_dim_of, _scaled_rows, check_naturally_reductive,
+                      require)
 
-TOL_ORACLE = 1e-10
 NOT_NATURALLY_REDUCTIVE = "metric is not naturally reductive"
 
 
@@ -54,7 +54,8 @@ def koszul_connection(L: LieAlgebraSpec, g: InnerProduct) -> ConnectionTable:
     # rhs[i,j,k] = <[e_i,e_j]_m,e_k> - <[e_j,e_k]_m,e_i> + <[e_k,e_i]_m,e_j>
     bg = c @ gm  # <[e_i,e_j]_m,e_k>
     rhs = bg - np.einsum("jki->ijk", bg) + np.einsum("kij->ijk", bg)
-    gamma = 0.5 * (rhs @ np.linalg.inv(gm))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow: the oracle reads NaN
+        gamma = 0.5 * (rhs @ np.linalg.inv(gm))
     gamma.setflags(write=False)
     return ConnectionTable(gamma=gamma)
 
@@ -134,18 +135,24 @@ def sectional(
     """Sectional curvature <R(u,x)x, u> / (|x|^2 |u|^2 - <x,u>^2).
 
     u may be an (N, n) stack, giving N values: u -> R(u,x)x is linear, so
-    one oracle call on the basis builds it, and one product applies it.
-    x and u are dependent (FlagError) when the denominator is at most
-    TOL_ORACLE |x|^2 |u|^2, a test unchanged by scaling x or u.
+    one oracle call on the basis builds it, and one product applies it.  x
+    and u are read at g-length near 1 by _scaled_rows (exact powers of two,
+    which leave K as it is), and are dependent (FlagError), as in
+    orthonormalize_flag, when the denominator is at most TOL_DEP |x|^2 |u|^2;
+    a vector that is not finite is refused (InputError).
     """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     us = np.atleast_2d(u)
     if x.shape != (g.dim,) or u.ndim not in (1, 2) or us.shape[1] != g.dim:
         raise InputError(f"vectors must have length {g.dim}")
+    if not (np.isfinite(x).all() and np.isfinite(us).all()):
+        raise InputError("vectors must be finite")
+    xus = _scaled_rows(g.g, np.vstack((x, us)))[0]
+    x, us = xus[0], xus[1:]
     ug, xx = us @ g.g, g.dot(x, x)
     uu = np.einsum("ij,ij->i", ug, us)
     denom = xx * uu - (ug @ x) ** 2
-    if np.any(denom <= TOL_ORACLE * xx * uu):
+    if np.any(denom <= TOL_DEP * xx * uu):
         raise FlagError("sectional curvature needs linearly independent vectors")
     jacobi = curvature_oracle(conn, L, np.eye(g.dim), x, x)
     k = np.einsum("ij,ij->i", us @ jacobi, ug) / denom

@@ -737,6 +737,32 @@ def test_curvature_reads_short_orthogonal_flags(capsys, tmp_path, doc, K):
     assert json.loads(out)["flags"][0]["K"] == pytest.approx(K, abs=1e-15)
 
 
+# su(2) whose Levi-Civita connection overflows: the oracle values are not finite
+WIDE_SU2 = {"name": "wide", "dim": 3,
+            "structure_constants": [[1, 2, 3, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]],
+            "g0": np.diag([1e200, 1e-200, 1.0]).tolist(),
+            "flags": [[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_an_oracle_that_is_not_finite_decides_no_sign_mismatch(capsys, tmp_path, output):
+    # warnings are errors in this suite: none may escape either command
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(WIDE_SU2))
+    code, out, _ = run(capsys, "curvature", str(path), "--force", "--output", output)
+    assert code == 0
+    if output == "json":
+        flag = json.loads(out)["flags"][0]
+        assert (flag["K"], flag["oracle_URYY"], flag["sign_mismatch"]) == (0.25, None, None)
+        assert flag["XRYY"] is None and flag["RYYY"] is None
+    else:
+        assert re.search(r"^  K +0\.25$", out, re.M)
+        assert re.search(r"^  sign_mismatch +None$", out, re.M)
+    code, out, err = run(capsys, "berwald", str(path), "--force", "--output", output)
+    assert code == 0 and err == ""
+    assert "perfect" in out
+
+
 def test_explicit_empty_phi_is_the_default(capsys, tmp_path):
     # m_dim = 0: phi = [] is the 0x0 matrix
     doc = dict(TestCallDomain.ISOTROPY_ONLY)

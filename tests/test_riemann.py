@@ -239,6 +239,29 @@ class TestSectional:
         with pytest.raises(FlagError):
             sectional(su2, g, conn, s * E3[0], E3[0])
 
+    @pytest.mark.parametrize("s", [1e-170, 1e160, 1e300])
+    def test_a_plane_beyond_the_square_range_gets_its_value(self, su2, s):
+        # |s e1|^2 under- or overflows; the vectors are read at g-length near 1
+        g = InnerProduct(np.eye(3))
+        conn = koszul_connection(su2, g)
+        assert sectional(su2, g, conn, s * E3[0], E3[1]) == pytest.approx(0.25)
+        assert sectional(su2, g, conn, E3[0], s * E3[1:]) == pytest.approx([0.25, 0.25])
+        assert sectional(su2, g, conn, s * E3[0], s * E3[1:]) == pytest.approx([0.25, 0.25])
+        assert sectional(su2, g, conn, s * E3[0], E3[1:] / s) == pytest.approx([0.25, 0.25])
+        for x, u in [(s * E3[0], 3.0 * s * E3[0]), (E3[0], 3.0 * E3[0]),
+                     (E3[0], np.vstack([E3[1], s * E3[0]]))]:
+            with pytest.raises(FlagError, match="^sectional curvature needs linearly independent"):
+                sectional(su2, g, conn, x, u)
+
+    @pytest.mark.parametrize("x, u", [
+        (np.array([np.nan, 0.0, 0.0]), E3[1]), (E3[0], np.array([0.0, np.inf, 0.0])),
+        (np.array([-np.inf, 1.0, 0.0]), E3[1:]), (E3[0], np.vstack([E3[1], [0.0, 0.0, np.nan]])),
+    ])
+    def test_vectors_that_are_not_finite_refused(self, su2, x, u):
+        g = InnerProduct(np.eye(3))
+        with pytest.raises(InputError, match="^vectors must be finite$"):
+            sectional(su2, g, koszul_connection(su2, g), x, u)
+
     @pytest.mark.parametrize("x, u", [(E4[0], E3[1]), (E3[0], E4[1]),
                                       (E3[0], np.zeros((2, 2, 3)))])
     def test_vectors_of_the_wrong_length_refused(self, su2, x, u):
