@@ -300,7 +300,7 @@ def sample_flag(g: InnerProduct, rng: np.random.Generator) -> Flag:
 def _draws(n_samples: int, seed: int, allocate):
     """allocate(), the arrays of n_samples draws, once n_samples is checked a
     positive integer and seed a non-negative one (numpy integers count, bools
-    do not); InputError if either is not, or if allocate cannot have its memory."""
+    do not); InputError if either is not, or if numpy or malloc refuses the size."""
     for value, low, words in ((n_samples, 1, "n_samples must be a positive integer"),
                               (seed, 0, "seed must be a non-negative integer")):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
