@@ -1,6 +1,9 @@
 """Every CLI call on the shipped configs and the test inputs prints the bytes
 recorded in data/cli_digests.json: each subcommand, both outputs, each method
-and convention (and the config's own), with and without --force.
+and convention (and the config's own), with and without --force.  The usage,
+help and error calls of test_cli.PARSER_ARGVS print the bytes recorded in
+data/cli_parser_digests.json, help wrapped at 80 columns, on a first and a
+second call in one process.
 
 A call is recorded as the sha256 of its exit code, stdout and stderr, where
 stderr also holds the category and text of each warning the call raises.
@@ -13,15 +16,19 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 from flagcurv.cli import main
 from flagcurv.flagcurvature import CONVENTIONS, METHODS
+from test_cli import PARSER_ARGVS, SU2_PLUS_R
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "data" / "cli_digests.json"
+PARSER_DIGESTS = ROOT / "tests" / "data" / "cli_parser_digests.json"
 INPUTS = [*sorted(ROOT.glob("configs/*.json")), *sorted(ROOT.glob("tests/data/input_*.json"))]
 CHOICES = ([], *(["--method", m, "--convention", c] for m in METHODS for c in CONVENTIONS))
 
@@ -39,32 +46,59 @@ def argvs():
                         yield [command, rel, "--output", output, *choice, *force]
 
 
-def digest(argv: list[str]) -> str:
-    """sha256 of the exit code, stdout and stderr (warnings included) of main(argv)."""
+def _record(argv: list[str]) -> list:
+    """The exit code, stdout and stderr (warnings included) of main(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code = main([argv[0], str(ROOT / argv[1]), *argv[2:]])
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
     raised = [f"{w.category.__name__}: {w.message}" for w in caught]
-    record = json.dumps([code, out.getvalue(), err.getvalue(), raised])
-    return hashlib.sha256(record.encode()).hexdigest()
+    return [code, out.getvalue(), err.getvalue(), raised]
+
+
+def _sha256(record) -> str:
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+def digest(argv: list[str]) -> str:
+    """sha256 of the exit code, stdout and stderr (warnings included) of main(argv)."""
+    return _sha256(_record([argv[0], str(ROOT / argv[1]), *argv[2:]]))
 
 
 def digests() -> dict[str, str]:
     return {" ".join(argv): digest(argv) for argv in argvs()}
 
 
-def test_every_call_prints_its_recorded_bytes():
-    recorded = json.loads(DIGESTS.read_text())
-    got = digests()
+def parser_digests() -> dict[str, str]:
+    """{argv, its config path relative to the repository root: sha256 of the
+    records of two calls of main(argv) in this process, with COLUMNS=80}."""
+    got = {}
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # argparse wraps help to it
+        for argv in PARSER_ARGVS:
+            rel = [Path(a).relative_to(ROOT).as_posix() if a == SU2_PLUS_R else a for a in argv]
+            got[" ".join(rel)] = _sha256([_record(list(argv)), _record(list(argv))])
+    return got
+
+
+def _changed(got: dict[str, str], path: Path) -> list[str]:
+    recorded = json.loads(path.read_text())
     assert sorted(got) == sorted(recorded)
-    assert [argv for argv, d in got.items() if recorded[argv] != d] == []
+    return [argv for argv, d in got.items() if recorded[argv] != d]
+
+
+def test_every_call_prints_its_recorded_bytes():
+    assert _changed(digests(), DIGESTS) == []
+
+
+def test_every_parser_call_prints_its_recorded_bytes():
+    assert _changed(parser_digests(), PARSER_DIGESTS) == []
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    for path, got in ((DIGESTS, digests()), (PARSER_DIGESTS, parser_digests())):
+        path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
     sys.exit(0)
