@@ -65,12 +65,6 @@ class LieAlgebraSpec:
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
-    def ad(self, x: np.ndarray) -> np.ndarray:
-        """ad_x acting on row vectors, v @ ad(x) = [x, v], as one product with
-        c viewed as an (n, n*n) matrix."""
-        n = self.dim
-        return (x @ self.c.reshape(n, n * n)).reshape(n, n)
-
     @cached_property
     def _bracket_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(I, J, c[I, J]) over the pairs i < j with [e_i, e_j] != 0, in

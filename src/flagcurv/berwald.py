@@ -70,8 +70,10 @@ def _drift(geom: HomogeneousGeometry, X: np.ndarray) -> np.ndarray:
 
 def _ad_m(L: LieAlgebraSpec, h: int, X: np.ndarray) -> np.ndarray:
     """ad_m(X) on row vectors of m, v @ ad_m(X) = [X, v]_m, for X in m (the
-    basis vectors from h on): the m-block of ad of X zero-padded on h."""
-    return L.ad(np.concatenate((np.zeros(h), X)))[h:, h:]
+    basis vectors from h on), as one product with the m-block of c viewed as
+    an (m, m*m) matrix."""
+    m = len(X)
+    return (X @ L.c[h:, h:, h:].reshape(m, m * m)).reshape(m, m)
 
 
 def parallel_obstruction_space(L: LieAlgebraSpec, g: InnerProduct) -> np.ndarray:
@@ -86,9 +88,10 @@ def parallel_obstruction_space(L: LieAlgebraSpec, g: InnerProduct) -> np.ndarray
 
 def _orthogonal_complement(derived: np.ndarray, g: InnerProduct) -> np.ndarray:
     """g-orthonormal basis (rows) of the g-orthogonal complement of derived."""
-    # null space of the map x -> (g(x, d_i))_i over the rows d_i
-    vt, rank = _svd_rank(derived @ g.g)
-    candidates = vt[rank:]
+    # null space of the map x -> (g(x, d_i))_i over the rows d_i; they are
+    # orthonormal, so the map has rank len(derived) at any scale of g
+    vt, _ = _svd_rank(derived @ g.g)
+    candidates = vt[len(derived):]
     # g-orthonormalize the spanning set (small: eigendecompose the Gram matrix)
     gram = candidates @ g.g @ candidates.T
     w, v = np.linalg.eigh(gram)

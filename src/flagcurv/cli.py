@@ -5,8 +5,8 @@ requested computation and builds its one document, which --output json
 prints under schema_version and the aligned table views, reading no
 report again.  Reals are printed with 12 significant digits;
 identical config + seed gives byte-identical JSON output.  A process
-builds each subcommand's parser once, on its first call, and writes JSON
-in one pass over the document.
+builds its parser once, on its first call, and writes JSON in one pass
+over the document.
 
 Exit codes: 0 success, 1 usage/parse, 2 validation failure,
 3 precondition failure, 4 numeric failure.
@@ -295,21 +295,11 @@ _OPTIONS = {
 }
 
 
-def _with_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Add subcommand name's arguments; the parser records the name, not the
-    command function, so a parser kept for reuse holds no function."""
-    parser.add_argument("config", help="path to a JSON problem config")
-    for flag in _subcommands()[name][1]:
-        parser.add_argument(flag, **_OPTIONS[flag])
-    parser.set_defaults(command=name)
-    return parser
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser; given a command, that subcommand's parser alone, built
-    as the full parser builds it, so its usage, help and errors read the same."""
-    if command is not None:
-        return _with_arguments(_Parser(prog=f"flagcurv {command}"), command)
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every call, built once per process: parsing leaves it as
+    it was, help reads the terminal width when it is printed, and it records
+    the subcommand's name, not its command function."""
     parser = _Parser(
         prog="flagcurv",
         description=(
@@ -319,32 +309,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _subcommands():
-        _with_arguments(sub.add_parser(name), name)
+    for name, (_, flags) in _subcommands().items():
+        command = sub.add_parser(name)
+        command.add_argument("config", help="path to a JSON problem config")
+        for flag in flags:
+            command.add_argument(flag, **_OPTIONS[flag])
     return parser
-
-
-@functools.cache
-def _subcommand_parser(command: str) -> argparse.ArgumentParser:
-    """build_parser(command), built once per process: parsing leaves a parser
-    as it was, and help reads the terminal width when it is printed."""
-    return build_parser(command)
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The subcommand argv[0] names parses alone (the top-level parser has only -h); the
-    full parser takes any other call, and leftover arguments, and prints the errors."""
-    if argv and argv[0] in _subcommands():
-        args, rest = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = parse_config(args.config)
         return _subcommands()[args.command][0](config, args)

@@ -62,6 +62,11 @@ class TestParallelSpace:
                     for j in range(n):
                         assert np.max(np.abs(space @ g.g @ L.c[i, j])) < 1e-10
 
+    def test_su2_trivial_at_a_metric_of_wide_range(self, su2):
+        # the singular values of [g, g] @ g span 1e200 to 1e-200: none is zero
+        g = InnerProduct(np.diag([1e200, 1e-200, 1.0]))
+        assert parallel_obstruction_space(su2, g).shape == (0, 3)
+
     def test_perfect_implies_trivial_space(self, su2, su2_double):
         rng = np.random.default_rng(1)
         for L in (su2, su2_double):

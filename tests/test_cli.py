@@ -763,6 +763,17 @@ def test_an_oracle_that_is_not_finite_decides_no_sign_mismatch(capsys, tmp_path,
     assert "perfect" in out
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["gated", "forced"])
+def test_berwald_finds_no_parallel_space_on_su2_at_a_metric_of_wide_range(capsys, tmp_path,
+                                                                           force):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(WIDE_SU2))
+    code, out, _ = run(capsys, "berwald", str(path), "--output", "json", *force)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["perfect"], doc["parallel_space"]) == (True, [])
+
+
 def test_explicit_empty_phi_is_the_default(capsys, tmp_path):
     # m_dim = 0: phi = [] is the 0x0 matrix
     doc = dict(TestCallDomain.ISOTROPY_ONLY)
@@ -1186,6 +1197,7 @@ PARSER_ARGVS = [
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(
     a.replace(SU2_PLUS_R, "su2_plus_r.json") for a in argv) or "no-arguments")
 def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    # a call that reuses the process's parser prints what a freshly built one prints
     def outcome():
         try:
             code = main(list(argv))
@@ -1194,15 +1206,14 @@ def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
         out = capsys.readouterr()
         return code, out.out, out.err
 
+    outcome()
     got = outcome()
-    monkeypatch.setattr(flagcurv.cli, "_parse_args",
-                        lambda argv: build_parser().parse_args(argv))
+    monkeypatch.setattr(flagcurv.cli, "build_parser", build_parser.__wrapped__)
     assert got == outcome()
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_main_builds_the_arguments_of_its_own_subcommand_only(monkeypatch, capsys,
-                                                              command):
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys, command):
     built, init = [], argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -1210,13 +1221,12 @@ def test_main_builds_the_arguments_of_its_own_subcommand_only(monkeypatch, capsy
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    flagcurv.cli._subcommand_parser.cache_clear()
+    build_parser.cache_clear()
     assert main([command, SU2_PLUS_R, "--output", "json"]) == 0
-    (parser,) = built  # one ArgumentParser, not the full parser's five
-    assert parser.prog == f"flagcurv {command}"
-    assert parser.get_default("command") == command
+    assert len(built) == 1 + len(SUBCOMMANDS)  # the full parser and its subparsers
+    assert built[0].prog == "flagcurv"
     assert main([command, SU2_PLUS_R, "--output", "json"]) == 0
-    assert built == [parser]  # the next call reuses it
+    assert len(built) == 1 + len(SUBCOMMANDS)  # the next call reuses it
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
