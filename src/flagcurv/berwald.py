@@ -90,8 +90,7 @@ def _orthogonal_complement(derived: np.ndarray, g: InnerProduct) -> np.ndarray:
     """g-orthonormal basis (rows) of the g-orthogonal complement of derived."""
     # null space of the map x -> (g(x, d_i))_i over the rows d_i; they are
     # orthonormal, so the map has rank len(derived) at any scale of g
-    vt, _ = _svd_rank(derived @ g.g)
-    candidates = vt[len(derived):]
+    candidates = np.linalg.svd(derived @ g.g)[2][len(derived):]
     # g-orthonormalize the spanning set (small: eigendecompose the Gram matrix)
     gram = candidates @ g.g @ candidates.T
     w, v = np.linalg.eigh(gram)
